@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="split each fit/eval/gather pass into S row-range shards "
         "fanned out through the parallel backend (default: the "
-        "REPRO_SHARDS environment variable, else unsharded). Results "
-        "are byte-identical for any value.",
+        "REPRO_SHARDS environment variable, else the worker count). "
+        "Results are byte-identical for any value.",
     )
     run.add_argument(
         "--density-backend",

@@ -32,13 +32,7 @@ from repro.density.backends import make_density_estimator
 from repro.density.base import DensityEstimator
 from repro.exceptions import DataValidationError, ParameterError
 from repro.obs import get_recorder
-from repro.parallel import parallel_map_chunks
-from repro.sharding import (
-    ShardPlan,
-    eval_shards,
-    resolve_shards,
-    sharded_gather,
-)
+from repro.sharding import ShardPlan, eval_shards, sharded_gather
 from repro.utils.streams import DataStream, as_stream
 from repro.utils.validation import (
     RandomStateLike,
@@ -147,8 +141,8 @@ class DensityBiasedSampler:
         Seed/generator for the Bernoulli draws (and the default
         estimator's reservoir).
     n_jobs:
-        Worker count for the density-evaluation pass (``None`` defers
-        to the ambient default / ``REPRO_N_JOBS``; see
+        Worker count for the density-evaluation and draw passes
+        (``None`` defers to the ambient default / ``REPRO_N_JOBS``; see
         :mod:`repro.parallel`). All random draws stay on the single
         main-process generator, so results are byte-identical for any
         value.
@@ -251,48 +245,16 @@ class DensityBiasedSampler:
     ) -> np.ndarray:
         """Pass 2: density of every dataset point, in stream order.
 
-        Chunks fan out to the parallel backend; evaluation is
-        deterministic per chunk and the merge preserves stream order,
-        so the result is byte-identical for any ``n_jobs``. With an
-        ambient shard count above one the same pass runs as a shard
-        fan-out instead — also byte-identical (DESIGN.md §13).
+        A shard fan-out (:mod:`repro.sharding`; one shard per worker
+        unless a shard count is set): each shard evaluates its own
+        chunk range, and the folded slices fill one preallocated
+        per-point array. Evaluation is deterministic per chunk, so the
+        normaliser and every probability derived from it are
+        byte-identical for any shard count and ``n_jobs``.
         """
-        n_shards = resolve_shards(None)
-        if n_shards > 1 and hasattr(source, "chunk_sizes"):
-            return self._densities_sharded(source, estimator, n_shards)
-        else:
-            densities = np.empty(len(source))
-            offsets_chunks = list(source.iter_with_offsets())
-            covered = sum(chunk.shape[0] for _, chunk in offsets_chunks)
-            if covered != len(source):
-                raise DataValidationError(
-                    f"stream yielded {covered} rows in the density pass but "
-                    f"advertises n_points={len(source)}; offset-keyed "
-                    "buffers would be misaligned (a hardened stream must "
-                    "deliver its exact surviving-row count every pass)."
-                )
-            values = parallel_map_chunks(
-                estimator.evaluate,
-                [chunk for _, chunk in offsets_chunks],
-                n_jobs=self.n_jobs,
-            )
-            for (start, chunk), chunk_values in zip(offsets_chunks, values):
-                densities[start : start + chunk.shape[0]] = chunk_values
-            return densities
-
-    def _densities_sharded(
-        self, source: DataStream, estimator: DensityEstimator, n_shards: int
-    ) -> np.ndarray:
-        """Pass 2 as a shard fan-out, byte-identical to the serial pass.
-
-        Each shard evaluates its own chunk range; the folded slices
-        fill the same preallocated per-point array the serial pass
-        fills, so the normaliser and every probability derived from it
-        are exact.
-        """
-        plan = ShardPlan(source, n_shards)
+        plan = ShardPlan.for_stream(source, n_jobs=self.n_jobs)
         shard = eval_shards(plan, estimator.evaluate, n_jobs=self.n_jobs)
-        if shard.row_start != 0 or shard.seen != len(source):
+        if shard.seen != len(source):
             raise DataValidationError(
                 f"stream yielded {shard.seen} rows in the density pass but "
                 f"advertises n_points={len(source)}; offset-keyed buffers "
@@ -341,7 +303,7 @@ class DensityBiasedSampler:
     ) -> BiasedSample:
         """Pass 3: independent coin per point (the paper's scheme)."""
         selected = rng.random(len(source)) < probabilities
-        points = self._gather(source, selected)
+        points = sharded_gather(source, selected, n_jobs=self.n_jobs)
         indices = np.nonzero(selected)[0]
         return BiasedSample(
             points=points,
@@ -370,7 +332,7 @@ class DensityBiasedSampler:
         indices.sort()
         mask = np.zeros(len(source), dtype=bool)
         mask[indices] = True
-        points = self._gather(source, mask)
+        points = sharded_gather(source, mask, n_jobs=self.n_jobs)
         return BiasedSample(
             points=points,
             indices=indices,
@@ -380,26 +342,3 @@ class DensityBiasedSampler:
             n_source=len(source),
             densities=densities[indices],
         )
-
-    @staticmethod
-    def _gather(source: DataStream, mask: np.ndarray) -> np.ndarray:
-        """Collect the masked rows in one sequential pass."""
-        if resolve_shards(None) > 1 and hasattr(source, "chunk_sizes"):
-            return sharded_gather(source, mask)
-        else:
-            parts = []
-            seen = 0
-            for start, chunk in source.iter_with_offsets():
-                local = mask[start : start + chunk.shape[0]]
-                seen += chunk.shape[0]
-                if local.any():
-                    parts.append(chunk[local])
-            if seen != mask.shape[0]:
-                raise DataValidationError(
-                    f"stream yielded {seen} rows in the gather pass but the "
-                    f"selection mask covers {mask.shape[0]}; passes disagree "
-                    "on the surviving-row count."
-                )
-            if not parts:
-                return np.empty((0, source.n_dims))
-            return np.vstack(parts)

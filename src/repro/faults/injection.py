@@ -13,9 +13,11 @@ Determinism: data faults are keyed by chunk index (persistent — every
 pass sees identical damage) and I/O faults by (pass, chunk), so a run
 under a fixed seed is byte-identical across invocations and worker
 counts. Because fault decisions never depend on the data values, the
-surviving-row count is computed at construction and ``n_points`` is
-exact before the first pass — the property samplers rely on when they
-pre-allocate per-row buffers.
+surviving-row count of every chunk is computed at construction:
+``n_points`` is exact before the first pass — the property samplers
+rely on when they pre-allocate per-row buffers — and the per-chunk
+counts give the stream the chunk addressing (``chunk_sizes`` /
+``iter_chunk_range``) every shard scan reads through.
 
 Observability counters (all merged into run manifests):
 
@@ -28,6 +30,8 @@ Observability counters (all merged into run manifests):
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -78,11 +82,11 @@ class FaultyStream(DataStream):
         self.chunk_size = inner.chunk_size
         self.n_dims = inner.n_dims
         self.passes = 0
-        self._chunk_lengths = self._layout(inner)
-        self.n_points = sum(
+        self._chunk_survivors = tuple(
             self._survivors(index, length)
-            for index, length in enumerate(self._chunk_lengths)
+            for index, length in enumerate(inner.chunk_sizes())
         )
+        self.n_points = sum(self._chunk_survivors)
         if self.n_points == 0:
             raise DataValidationError(
                 "the fault plan leaves no surviving rows; lower the rates "
@@ -90,16 +94,6 @@ class FaultyStream(DataStream):
             )
 
     # -- construction-time accounting ----------------------------------------
-
-    @staticmethod
-    def _layout(inner: DataStream) -> list[int]:
-        """Raw chunk lengths the wrapped stream will deliver per pass."""
-        lengths = []
-        remaining = inner.n_points
-        while remaining > 0:
-            lengths.append(min(inner.chunk_size, remaining))
-            remaining -= lengths[-1]
-        return lengths
 
     def _survivors(self, chunk_index: int, n_rows: int) -> int:
         """Rows of one chunk that reach consumers under the policy."""
@@ -133,12 +127,40 @@ class FaultyStream(DataStream):
 
     def _iterate(self):
         self.passes += 1
+        get_recorder().count("data_passes")
+        yield from self.iter_chunk_range(0, len(self._chunk_survivors))
+
+    # -- shard support (see repro.sharding) ----------------------------------
+
+    def chunk_sizes(self) -> tuple[int, ...]:
+        """Surviving-row count of every chunk one pass would yield.
+
+        Bookkeeping, not a scan: fault decisions never depend on data
+        values, so the counts were computed from the plan at
+        construction.
+        """
+        return self._chunk_survivors
+
+    def iter_chunk_range(self, lo: int, hi: int):
+        """Yield ``(offset, chunk)`` for chunk indices ``[lo, hi)``.
+
+        Applies the chunks' planned faults for the current pass, the
+        retry policy and the fault policy — a full pass is this over
+        every chunk. The pass bookkeeping (``passes``, ``data_passes``)
+        is owned by the caller: :meth:`iter_with_offsets` or the
+        coordinating shard scan (see :mod:`repro.sharding`).
+
+        Raises
+        ------
+        DataValidationError
+            If a chunk delivers a surviving-row count other than the
+            one planned at construction (the wrapped stream is dirty
+            or changed between passes).
+        """
         pass_index = self.passes
-        recorder = get_recorder()
-        out = 0
-        for chunk_index, (raw_start, chunk) in enumerate(
-            self.inner.iter_with_offsets()
-        ):
+        out = sum(self._chunk_survivors[:lo])
+        chunks = self.inner.iter_chunk_range(lo, hi)
+        for chunk_index, (raw_start, chunk) in enumerate(chunks, start=lo):
             faulted = self.retry_policy.call(
                 self._reader(chunk, pass_index, chunk_index),
                 describe=f"chunk {chunk_index} of faulty stream",
@@ -149,16 +171,24 @@ class FaultyStream(DataStream):
                 pass_index=pass_index,
                 start=raw_start,
             )
-            if clean.shape[0]:
+            planned = self._chunk_survivors[chunk_index]
+            if clean.shape[0] != planned:
+                raise DataValidationError(
+                    f"faulty stream yielded {clean.shape[0]} surviving rows "
+                    f"in chunk {chunk_index} of pass {pass_index} but its "
+                    f"fault plan leaves {planned}; the wrapped stream is "
+                    "dirty or changed between passes (wrap a clean source "
+                    "so fault accounting stays exact)."
+                )
+            if planned:
                 yield out, clean
-                out += clean.shape[0]
-        if out != self.n_points:
-            raise DataValidationError(
-                f"faulty stream yielded {out} surviving rows in pass "
-                f"{pass_index} but advertised n_points={self.n_points}; "
-                "the wrapped stream is dirty or changed between passes "
-                "(wrap a clean source so fault accounting stays exact)."
-            )
+                out += planned
+
+    def shard_window(self, lo: int, hi: int) -> "FaultyStream":
+        """This stream over the wrapped stream's window of ``[lo, hi)``."""
+        window = copy.copy(self)
+        window.inner = self.inner.shard_window(lo, hi)
+        return window
 
     def _reader(self, chunk: np.ndarray, pass_index: int, chunk_index: int):
         """One chunk's read attempt: planned transient failures, then data."""

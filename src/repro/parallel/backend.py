@@ -27,8 +27,11 @@ Python-bound.
 
 from __future__ import annotations
 
+import multiprocessing.util
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -187,13 +190,49 @@ class ThreadBackend(ExecutionBackend):
             return list(pool.map(func, items))
 
 
+#: Live process pools by (owning pid, worker count). Every dataset pass
+#: is a fan-out, and starting a pool costs more than a cheap pass, so
+#: pools outlive a map; one whose worker died is dropped and rebuilt.
+_PROCESS_POOLS: dict[tuple[int, int], ProcessPoolExecutor] = {}
+_PROCESS_POOLS_LOCK = threading.Lock()
+
+#: Exit priority of a pool's shutdown: above the priority (10) of its
+#: own queues' finalizers, so the shutdown sentinels still reach the
+#: workers. A worker process that made a pool (an estimator with an
+#: explicit ``n_jobs`` inside a task) runs these finalizers and then
+#: joins its children before its thread exit hooks ever run.
+_POOL_EXIT_PRIORITY = 100
+
+
+def _process_pool(workers: int) -> ProcessPoolExecutor:
+    key = (os.getpid(), workers)
+    with _PROCESS_POOLS_LOCK:
+        pool = _PROCESS_POOLS.get(key)
+        if pool is None:
+            pool = _PROCESS_POOLS[key] = ProcessPoolExecutor(workers)
+            multiprocessing.util.Finalize(
+                pool, pool.shutdown, exitpriority=_POOL_EXIT_PRIORITY
+            )
+        return pool
+
+
+def _drop_process_pool(workers: int, pool: ProcessPoolExecutor) -> None:
+    key = (os.getpid(), workers)
+    with _PROCESS_POOLS_LOCK:
+        if _PROCESS_POOLS.get(key) is pool:
+            del _PROCESS_POOLS[key]
+    pool.shutdown(wait=False)
+
+
 class ProcessBackend(ExecutionBackend):
     """Process-pool execution: true CPU parallelism, pickled tasks.
 
     For passes that are Python-bound rather than NumPy-bound. Each task
     ships its function and arguments to the worker by pickling — for
     chunk maps that includes the chunk — so prefer the thread backend
-    unless profiling says otherwise.
+    unless profiling says otherwise. Worker processes are reused across
+    maps of the same width (a pool is started once per process, not
+    once per pass).
 
     Parameters
     ----------
@@ -211,8 +250,12 @@ class ProcessBackend(ExecutionBackend):
         if len(items) <= 1:
             return [func(item) for item in items]
         workers = min(self.n_jobs, len(items))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = _process_pool(workers)
+        try:
             return list(pool.map(func, items))
+        except BrokenProcessPool:
+            _drop_process_pool(workers, pool)
+            raise
 
 
 _BACKENDS = {

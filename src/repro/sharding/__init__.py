@@ -1,17 +1,19 @@
-"""Sharded out-of-core fitting: plans, mergeable partials, fan-out.
+"""Sharded out-of-core scans: plans, mergeable partials, fan-out.
 
-This package splits one dataset pass into ``S`` contiguous row-range
-shards (:class:`ShardPlan`), runs each shard through the existing
+Every fit/eval/gather dataset pass runs through this package. It
+splits the pass into ``S`` contiguous row-range shards
+(:class:`ShardPlan`), runs each shard through the existing
 :mod:`repro.parallel` backends (:func:`shard_map` and the scan helpers
 :func:`fit_shards` / :func:`eval_shards` / :func:`sharded_gather`),
 and folds the mergeable shard partials with a deterministic left fold
-(:func:`merge_partials`). Results are byte-identical to the serial
-pass for any shard count and any worker count — see DESIGN.md §13 for
-the merge contracts and the determinism argument.
+(:func:`merge_partials`). ``S = 1`` is the serial pass, and results
+are byte-identical for any shard count and any worker count — see
+DESIGN.md §13 for the merge contracts and the determinism argument.
 
-The ambient shard count is configured like the worker count:
-``repro run --shards S``, :func:`use_shards`, or the ``REPRO_SHARDS``
-environment variable (:func:`resolve_shards`).
+The shard count is configured like the worker count: ``repro run
+--shards S``, :func:`use_shards`, or the ``REPRO_SHARDS`` environment
+variable. When none is set, a scan uses one shard per worker
+(:func:`resolve_shards`).
 """
 
 from repro.sharding.context import SHARDS_ENV, resolve_shards, use_shards

@@ -4,7 +4,7 @@ Every class here follows the merge algebra the observability layer
 already uses for worker counters (and RA007 audits): a worker builds
 its partial in isolation, and the coordinator folds the partials with
 a deterministic *left fold* in shard order —
-``p1.merge(p2).merge(p3)...`` — which equals the serial result because
+``p1.merge(p2).merge(p3)...`` — which equals the one-shard result because
 each partial carries its data in stream order and ``merge`` is
 order-preserving concatenation, not commutative aggregation. Floating
 point is not associative, so no partial pre-reduces across chunks:
@@ -53,10 +53,10 @@ class ShardFitState:
         """Record one chunk's moment statistics, in stream order."""
         self.chunk_stats.append((int(count), mean, m2))
 
-    def add_row(self, index: int, row: np.ndarray) -> None:
-        """Record one planned reservoir row fetch."""
-        self.indices.append(int(index))
-        self.rows.append(np.array(row, dtype=np.float64))
+    def add_rows(self, indices: np.ndarray, rows: np.ndarray) -> None:
+        """Record one chunk's planned reservoir row fetches as a block."""
+        self.indices.append(np.asarray(indices, dtype=np.int64))
+        self.rows.append(np.asarray(rows, dtype=np.float64))
 
     def merge(self, other: "ShardFitState") -> "ShardFitState":
         """Left-fold combiner: append ``other``'s shard after this one."""
@@ -67,7 +67,11 @@ class ShardFitState:
 
     def fetched_rows(self) -> dict:
         """The planned row fetches as ``{absolute index: row}``."""
-        return dict(zip(self.indices, self.rows))
+        if not self.indices:
+            return {}
+        return dict(
+            zip(np.concatenate(self.indices).tolist(), np.vstack(self.rows))
+        )
 
 
 @dataclass
@@ -76,10 +80,10 @@ class NormalizerShard:
 
     Holds the per-chunk density slices of one row range, in stream
     order. The fold reassembles the full per-point density array
-    byte-identically to the serial pass, so the normaliser
+    byte-identically for any shard count, so the normaliser
     ``k = sum f^a`` and the Horvitz-Thompson inclusion probabilities
-    derived from it are exact — they are computed once, from the
-    reassembled array, by the same code the serial path runs.
+    derived from it are exact — they are computed once, on the
+    coordinator, from the reassembled array.
     """
 
     row_start: int
@@ -117,8 +121,7 @@ class GatherShard:
 
     ``parts`` holds the selected rows of each chunk, in stream order;
     ``seen`` counts every row the shard scanned (selected or not), so
-    the coordinator can check mask alignment exactly as the serial
-    gather does.
+    the coordinator can check the scan against the mask length.
     """
 
     parts: list = field(default_factory=list)
@@ -143,8 +146,8 @@ class BoundsShard:
 
     Elementwise min/max is exactly associative and commutative, so —
     unlike the FP folds above — this partial may pre-reduce across its
-    own chunks: the fold over shards still equals the serial
-    ``MinMaxScaler.partial_fit`` chain bit for bit.
+    own chunks: the fold over shards equals the one-shard box bit for
+    bit.
     """
 
     mins: np.ndarray | None = None
@@ -180,7 +183,7 @@ class TreeCountShard:
 
     ``counts`` is the ``(n_trees, n_leaves)`` integer occupancy table of
     one row range. Integer addition is exactly associative, so the fold
-    over shards equals the serial counting scan bit for bit — no
+    over shards equals the one-shard counting scan bit for bit — no
     coordinator-side replay is needed (contrast ``ShardFitState``).
     """
 
@@ -209,19 +212,14 @@ class TreeCountShard:
 def merge_partials(partials):
     """Deterministic left fold of shard partials, in shard order.
 
-    Returns the folded first partial (mutated in place); counts one
-    ``shard_merges`` per fold step. Raises on an empty list — a scan
-    that dispatched no work is a coordinator bug, not a mergeable
-    state.
+    Returns the folded first partial (mutated in place). Raises on an
+    empty list — there is no partial to fold into; scans fold from an
+    explicit empty partial instead (see :mod:`repro.sharding.runner`).
     """
-    from repro.obs import get_recorder
-
     partials = list(partials)
     if not partials:
         raise ValueError("no shard partials to merge.")
     folded = partials[0]
     for part in partials[1:]:
         folded = folded.merge(part)
-    if len(partials) > 1:
-        get_recorder().count("shard_merges", len(partials) - 1)
     return folded

@@ -2,10 +2,11 @@
 
 A :class:`ShardPlan` partitions the *chunk sequence* of a stream pass
 into ``S`` contiguous ranges. Splitting on chunk boundaries (never
-inside a chunk) is what keeps sharded execution byte-identical to the
-serial pass: every downstream consumer — moment accumulators, policy
-application, density evaluation — sees exactly the chunks a serial
-scan would have seen, in the same order, merely grouped by shard.
+inside a chunk) is what keeps a scan byte-identical for every shard
+count: every downstream consumer — moment accumulators, policy
+application, density evaluation — sees exactly the chunks the
+one-shard (serial) scan sees, in the same order, merely grouped by
+shard.
 
 A :class:`ShardView` is one shard's window onto the parent stream. It
 is deliberately *not* a ``DataStream`` subclass: a view is not a
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ParameterError
+from repro.sharding.context import resolve_shards
 
 __all__ = [
     "ShardPlan",
@@ -75,6 +77,12 @@ class ShardView:
             self.spec.chunk_lo, self.spec.chunk_hi
         )
 
+    def __reduce__(self):
+        # Crossing a process boundary, ship the parent's shard window
+        # (an in-memory stream's own rows) instead of the whole parent.
+        window = self.parent.shard_window(self.spec.chunk_lo, self.spec.chunk_hi)
+        return (ShardView, (window, self.spec))
+
 
 class ShardPlan:
     """A chunk-aligned split of one stream pass into ``S`` shards.
@@ -83,8 +91,7 @@ class ShardPlan:
     ----------
     stream:
         Any stream exposing the shard-support API (``chunk_sizes()``
-        and ``iter_chunk_range()``): the in-memory ``DataStream`` and
-        both file streams qualify.
+        and ``iter_chunk_range()``): every ``DataStream`` qualifies.
     n_shards:
         Number of row-range shards. More shards than chunks simply
         leaves the surplus shards empty (they dispatch no work).
@@ -107,9 +114,17 @@ class ShardPlan:
         self.specs: tuple[ShardSpec, ...] = self._split()
 
     @classmethod
-    def for_stream(cls, stream, n_shards: int) -> "ShardPlan":
-        """Build a plan for ``stream`` (alias of the constructor)."""
-        return cls(stream, n_shards)
+    def for_stream(
+        cls, stream, n_shards: int | None = None, *, n_jobs: int | None = None
+    ) -> "ShardPlan":
+        """Plan one scan of ``stream`` under the resolved shard count.
+
+        The one place a scan's shard count is decided: ``n_shards``,
+        else the configured default (:func:`repro.sharding.use_shards`
+        / ``REPRO_SHARDS``), else one shard per worker of ``n_jobs``
+        (see :func:`repro.sharding.resolve_shards`).
+        """
+        return cls(stream, resolve_shards(n_shards, n_jobs=n_jobs))
 
     def _split(self) -> tuple[ShardSpec, ...]:
         n_chunks = len(self.chunk_sizes)

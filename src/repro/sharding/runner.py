@@ -1,16 +1,16 @@
 """Shard fan-out execution: dispatch, pass bookkeeping, folding.
 
-One *logical* dataset pass is executed as ``S`` shard tasks fanned out
-through the existing :mod:`repro.parallel` backends. The coordinator
-owns the pass bookkeeping (one ``passes`` bump and one ``data_passes``
-count per logical scan, exactly like a serial scan); shard workers own
-only the per-chunk effects (``points_seen``, ``stream_chunk_rows``,
+Every fit/eval/gather dataset pass runs here: one *logical* scan is
+executed as ``S`` shard tasks fanned out through the existing
+:mod:`repro.parallel` backends, and ``S = 1`` is the serial scan. The
+coordinator owns the pass bookkeeping (one ``passes`` bump and one
+``data_passes`` count per logical scan); shard workers own only the
+per-chunk effects (``points_seen``, ``stream_chunk_rows``,
 fault-policy counters), which the parallel harness records on worker
 recorders and merges back in submission — i.e. shard — order. The
 shard partials themselves are folded with a deterministic left fold
 (:func:`repro.sharding.partials.merge_partials`), which is what makes
-every sharded scan byte-identical to its serial counterpart for any
-``S`` and any ``n_jobs``.
+every scan byte-identical for any ``S`` and any ``n_jobs``.
 
 Workers here are deliberately generator-free: all randomness stays on
 the coordinator (reservoir acceptance is pre-planned by
@@ -28,7 +28,7 @@ import numpy as np
 from repro.exceptions import DataValidationError
 from repro.obs import get_recorder
 from repro.parallel import parallel_map_chunks
-from repro.sharding.context import resolve_shards
+from repro.sharding.context import configured_shards
 from repro.sharding.partials import (
     BoundsShard,
     GatherShard,
@@ -51,13 +51,12 @@ __all__ = [
     "tree_count_shards",
 ]
 
-#: Span labels for the three sharded scan kinds. They are module
-#: constants passed *by parameter* into :func:`shard_map` so every
-#: sharded scan opens its span under the same label while each call
-#: site stays free of a literal phase string: the sharded branch of an
-#: audited entry then attributes its one scan to the same phase as the
-#: serial branch it mirrors, which is what the declared
-#: ``__n_passes__`` tables describe.
+#: Span labels for the three scan kinds. They are module constants
+#: passed *by parameter* into :func:`shard_map` so every scan opens its
+#: span under the same label while each call site stays free of a
+#: literal phase string: an audited entry then attributes its one scan
+#: to the caller's phase, which is what the declared ``__n_passes__``
+#: tables describe.
 SHARD_FIT_PHASE = "shard_fit"
 SHARD_EVAL_PHASE = "shard_eval"
 SHARD_GATHER_PHASE = "shard_gather"
@@ -87,17 +86,35 @@ class _GatherTask:
     mask: np.ndarray
 
 
-def _begin_scan(plan: ShardPlan) -> None:
-    """Coordinator-side bookkeeping for one logical sharded scan.
+def _counts_shards() -> bool:
+    """Whether scans record the ``shard*`` counters.
 
-    Mirrors what one serial iteration of the stream would record at
-    pass granularity; per-chunk effects land on the worker recorders
-    via ``iter_chunk_range`` instead.
+    Only under a configured shard count (``--shards``, ``use_shards``,
+    ``REPRO_SHARDS``): the default split, one shard per worker, is an
+    execution detail like ``n_jobs`` and leaves the counters as they
+    are for any worker count.
+    """
+    return configured_shards() is not None
+
+
+def _scan(plan: ShardPlan, worker, tasks, empty, *, n_jobs, phase):
+    """Run one logical scan over ``plan`` and fold its shard partials.
+
+    Records what one pass records at pass granularity (per-chunk
+    effects land on the worker recorders via ``iter_chunk_range``),
+    plus the ``shard*`` counters when :func:`_counts_shards`. The fold
+    starts from ``empty``, the partial of a scan that saw no rows.
     """
     plan.stream.passes += 1
     recorder = get_recorder()
     recorder.count("data_passes")
-    recorder.count("shard_rows", plan.n_rows)
+    counted = _counts_shards()
+    if counted:
+        recorder.count("shard_rows", plan.n_rows)
+    partials = shard_map(worker, tasks, n_jobs=n_jobs, phase=phase)
+    if counted and len(partials) > 1:
+        recorder.count("shard_merges", len(partials) - 1)
+    return merge_partials([empty, *partials])
 
 
 def shard_map(worker, tasks, *, n_jobs=None, phase=SHARD_FIT_PHASE):
@@ -130,31 +147,30 @@ def _fit_shard_worker(task: _FitTask) -> ShardFitState:
         state.add_chunk(count, mean, m2)
         lo = int(np.searchsorted(wanted, offset))
         hi = int(np.searchsorted(wanted, offset + chunk.shape[0]))
-        for index in wanted[lo:hi]:
-            state.add_row(int(index), chunk[int(index) - offset])
+        if hi > lo:
+            state.add_rows(wanted[lo:hi], chunk[wanted[lo:hi] - offset])
     return state
 
 
 def fit_shards(plan: ShardPlan, wanted_indices, *, n_jobs=None) -> ShardFitState:
-    """Run one sharded fit scan and fold the shard partials.
+    """Run one fit scan over ``plan`` and fold the shard partials.
 
     ``wanted_indices`` are the sorted absolute row indices the
     reservoir acceptance plan needs fetched; each shard receives only
     the slice that falls inside its row range.
     """
-    _begin_scan(plan)
-    views = plan.views()
     wanted = np.asarray(wanted_indices, dtype=np.int64)
     tasks = []
-    for view in views:
+    for view in plan.views():
         lo = int(np.searchsorted(wanted, view.spec.row_start))
         hi = int(np.searchsorted(wanted, view.spec.row_stop))
         tasks.append(_FitTask(view=view, wanted=wanted[lo:hi]))
-    get_recorder().count("shards_fitted", len(tasks))
-    partials = shard_map(
-        _fit_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_FIT_PHASE
+    if _counts_shards():
+        get_recorder().count("shards_fitted", len(tasks))
+    return _scan(
+        plan, _fit_shard_worker, tasks, ShardFitState(),
+        n_jobs=n_jobs, phase=SHARD_FIT_PHASE,
     )
-    return merge_partials(partials)
 
 
 @dataclass(frozen=True)
@@ -180,7 +196,7 @@ class _TreeCountTask:
 
 def _bounds_shard_worker(task: _BoundsTask) -> BoundsShard:
     """Per-shard bounding box. Min/max is exact, so pre-reducing across
-    the shard's chunks is byte-identical to the serial scaler chain."""
+    the shard's chunks is byte-identical for any shard count."""
     shard = BoundsShard()
     for _offset, chunk in task.view.chunks():
         shard.observe_chunk(chunk)
@@ -188,13 +204,12 @@ def _bounds_shard_worker(task: _BoundsTask) -> BoundsShard:
 
 
 def bounds_shards(plan: ShardPlan, *, n_jobs=None) -> BoundsShard:
-    """Run one sharded bounding-box scan and fold the shard partials."""
-    _begin_scan(plan)
+    """Run one bounding-box scan over ``plan`` and fold the partials."""
     tasks = [_BoundsTask(view=view) for view in plan.views()]
-    partials = shard_map(
-        _bounds_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_FIT_PHASE
+    return _scan(
+        plan, _bounds_shard_worker, tasks, BoundsShard(),
+        n_jobs=n_jobs, phase=SHARD_FIT_PHASE,
     )
-    return merge_partials(partials)
 
 
 def _tree_count_worker(task: _TreeCountTask) -> TreeCountShard:
@@ -217,22 +232,22 @@ def _tree_count_worker(task: _TreeCountTask) -> TreeCountShard:
 def tree_count_shards(
     plan: ShardPlan, features, thresholds, *, n_jobs=None
 ) -> TreeCountShard:
-    """Run one sharded tree-counting scan and fold the shard partials.
+    """Run one tree-counting scan over ``plan`` and fold the partials.
 
     ``features`` / ``thresholds`` are the coordinator-built forest
     (all randomness stayed there); each shard counts its own row range
     and the integer tables fold exactly.
     """
-    _begin_scan(plan)
     tasks = [
         _TreeCountTask(view=view, features=features, thresholds=thresholds)
         for view in plan.views()
     ]
-    get_recorder().count("shards_fitted", len(tasks))
-    partials = shard_map(
-        _tree_count_worker, tasks, n_jobs=n_jobs, phase=SHARD_FIT_PHASE
+    if _counts_shards():
+        get_recorder().count("shards_fitted", len(tasks))
+    return _scan(
+        plan, _tree_count_worker, tasks, TreeCountShard(),
+        n_jobs=n_jobs, phase=SHARD_FIT_PHASE,
     )
-    return merge_partials(partials)
 
 
 def _eval_shard_worker(task: _EvalTask) -> NormalizerShard:
@@ -244,18 +259,17 @@ def _eval_shard_worker(task: _EvalTask) -> NormalizerShard:
 
 
 def eval_shards(plan: ShardPlan, evaluate, *, n_jobs=None) -> NormalizerShard:
-    """Run one sharded evaluation scan and fold the shard partials.
+    """Run one evaluation scan over ``plan`` and fold the partials.
 
     ``evaluate`` maps a chunk to its per-row values (typically a bound
     ``estimator.evaluate``); the folded result reassembles the full
-    per-point array byte-identically to a serial pass.
+    per-point array in stream order.
     """
-    _begin_scan(plan)
     tasks = [_EvalTask(view=view, evaluate=evaluate) for view in plan.views()]
-    partials = shard_map(
-        _eval_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_EVAL_PHASE
+    return _scan(
+        plan, _eval_shard_worker, tasks, NormalizerShard(row_start=0),
+        n_jobs=n_jobs, phase=SHARD_EVAL_PHASE,
     )
-    return merge_partials(partials)
 
 
 def _gather_shard_worker(task: _GatherTask) -> GatherShard:
@@ -271,15 +285,15 @@ def _gather_shard_worker(task: _GatherTask) -> GatherShard:
 
 
 def sharded_gather(source, mask, *, n_shards=None, n_jobs=None) -> np.ndarray:
-    """Sharded masked row gather, byte-identical to the serial loop.
+    """Masked row gather in one scan, byte-identical for any shard count.
 
     The mask is precomputed by the coordinator (all randomness stays
-    there); each shard slices its own window. Raises the same
-    :class:`DataValidationError` as the serial gather when the scanned
-    row count disagrees with the mask length.
+    there); each shard slices its own window. The shard count resolves
+    through :meth:`ShardPlan.for_stream`. Raises
+    :class:`DataValidationError` when the scanned row count disagrees
+    with the mask length.
     """
-    plan = ShardPlan(source, resolve_shards(n_shards))
-    _begin_scan(plan)
+    plan = ShardPlan.for_stream(source, n_shards, n_jobs=n_jobs)
     mask = np.asarray(mask)
     tasks = [
         _GatherTask(
@@ -290,10 +304,10 @@ def sharded_gather(source, mask, *, n_shards=None, n_jobs=None) -> np.ndarray:
         )
         for view in plan.views()
     ]
-    partials = shard_map(
-        _gather_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_GATHER_PHASE
+    folded = _scan(
+        plan, _gather_shard_worker, tasks, GatherShard(),
+        n_jobs=n_jobs, phase=SHARD_GATHER_PHASE,
     )
-    folded = merge_partials(partials)
     if folded.seen != mask.shape[0]:
         raise DataValidationError(
             f"stream yielded {folded.seen} rows in the gather pass but the "

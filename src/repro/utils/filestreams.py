@@ -199,6 +199,10 @@ class NpyFileStream(DataStream):
                 yield out, clean
                 out += clean.shape[0]
 
+    def shard_window(self, lo: int, hi: int) -> "NpyFileStream":
+        """The stream itself: a worker reads its chunks from the file."""
+        return self
+
     # -- pickling (process-backend shard workers) ----------------------------
 
     def __getstate__(self) -> dict:
@@ -423,6 +427,10 @@ class CsvFileStream(DataStream):
                 recorder.observe("stream_chunk_rows", clean.shape[0])
                 yield out, clean
                 out += clean.shape[0]
+
+    def shard_window(self, lo: int, hi: int) -> "CsvFileStream":
+        """The stream itself: a worker reads its chunks from the file."""
+        return self
 
 
 def _float_or_nan(cell: str) -> float:

@@ -19,6 +19,7 @@ buffers and masks keyed by stream offsets.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterator
 
 import numpy as np
@@ -59,6 +60,9 @@ class DataStream:
     reproduction the backing store is an in-memory array, but any
     out-of-core source exposing the same iteration contract would work.
     """
+
+    #: Stream row index of ``_data[0]``; nonzero only on a shard window.
+    _first_row = 0
 
     def __init__(
         self, data, chunk_size: int = 65536, fault_policy=None
@@ -170,10 +174,25 @@ class DataStream:
             lo * self.chunk_size, min(hi * self.chunk_size, self.n_points),
             self.chunk_size,
         ):
-            chunk = self._data[start : start + self.chunk_size]
+            local = start - self._first_row
+            chunk = self._data[local : local + self.chunk_size]
             recorder.count("points_seen", chunk.shape[0])
             recorder.observe("stream_chunk_rows", chunk.shape[0])
             yield start, chunk
+
+    def shard_window(self, lo: int, hi: int) -> "DataStream":
+        """What a shard over chunk indices ``[lo, hi)`` ships to a worker.
+
+        A shard task pickles this in place of the whole stream when it
+        crosses a process boundary: here a copy holding only those
+        chunks' rows, so each worker receives its own rows and no
+        more. Only :meth:`iter_chunk_range` within ``[lo, hi)`` is
+        valid on the window.
+        """
+        window = copy.copy(self)
+        window._first_row = lo * self.chunk_size
+        window._data = self._data[window._first_row : hi * self.chunk_size]
+        return window
 
 
 class PassCounter:

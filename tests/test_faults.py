@@ -21,6 +21,7 @@ from repro import ApproximateClusteringPipeline
 from repro.clustering import CureClustering
 from repro.core import DensityBiasedSampler
 from repro.datasets import cure_dataset1
+from repro.density import KernelDensityEstimator
 from repro.evaluation import count_found_clusters
 from repro.exceptions import (
     DataValidationError,
@@ -38,6 +39,7 @@ from repro.faults import (
     use_fault_policy,
 )
 from repro.obs import Recorder, RunManifest, use_recorder
+from repro.sharding import ShardPlan, use_shards
 from repro.utils.streams import DataStream
 
 pytestmark = pytest.mark.chaos
@@ -349,6 +351,48 @@ class TestFaultyStream:
         assert out.shape[0] == stream.n_points
         assert (np.abs(out) <= 1e6).all()
 
+    def test_chunk_range_replays_the_pass(self, clean_data):
+        def build():
+            return FaultyStream(
+                DataStream(clean_data, chunk_size=256),
+                FaultPlan(seed=7, nan_row_rate=0.03, short_read_rate=0.3),
+                fault_policy="quarantine",
+            )
+
+        serial = list(build().iter_with_offsets())
+        stream = build()
+        stream.passes = 1  # the coordinator's bump for the same pass
+        sharded = [
+            pair
+            for view in ShardPlan(stream, 3).views()
+            for pair in view.chunks()
+        ]
+        assert sum(stream.chunk_sizes()) == stream.n_points
+        assert [o for o, _ in sharded] == [o for o, _ in serial]
+        for (_, expected), (_, actual) in zip(serial, sharded):
+            assert expected.tobytes() == actual.tobytes()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_unplanned_drop_breaks_the_survivor_guard(
+        self, clean_data, shards
+    ):
+        # A finite 1e30 cell passes the strict inner stream, but the
+        # wrapper's max_abs policy drops its row — a drop the fault
+        # plan never scheduled, so the advertised counts are wrong.
+        dirty = clean_data.copy()
+        dirty[700, 1] = 1e30
+        stream = FaultyStream(
+            DataStream(dirty, chunk_size=256),
+            FaultPlan(seed=11, nan_row_rate=0.01),
+            fault_policy=RowQuarantine("quarantine", max_abs=1e6),
+        )
+        estimator = KernelDensityEstimator(n_kernels=32, random_state=0)
+        with use_shards(shards):
+            with pytest.raises(
+                DataValidationError, match="faulty stream yielded"
+            ):
+                estimator.fit(stream=stream)
+
     def test_plan_leaving_no_survivors_rejected(self):
         data = np.ones((10, 2))
         with pytest.raises(DataValidationError):
@@ -423,9 +467,9 @@ class TestFig3Acceptance:
     def dataset(self):
         return cure_dataset1(n_points=4000, random_state=self.SEED)
 
-    def _run(self, dataset, n_jobs=None):
+    def _run(self, dataset, n_jobs=None, shards=None):
         recorder = Recorder()
-        with use_recorder(recorder):
+        with use_recorder(recorder), use_shards(shards):
             stream = FaultyStream(
                 DataStream(dataset.points, chunk_size=512),
                 self.PLAN,
@@ -473,6 +517,17 @@ class TestFig3Acceptance:
         for key in ("rows_quarantined", "fault_rows_injected", "data_passes"):
             assert manifest1.counters[key] == manifest2.counters[key]
             assert manifest1.counters[key] == manifest3.counters[key]
+        for n_jobs in (1, 2):
+            sharded, manifest = self._run(dataset, n_jobs=n_jobs, shards=3)
+            assert baseline.labels.tobytes() == sharded.labels.tobytes()
+            assert (
+                baseline.clustering.centers.tobytes()
+                == sharded.clustering.centers.tobytes()
+            )
+            for key in (
+                "rows_quarantined", "fault_rows_injected", "data_passes"
+            ):
+                assert manifest1.counters[key] == manifest.counters[key]
 
     def test_strict_variant_raises_naming_pass_and_offset(self, dataset):
         stream = FaultyStream(

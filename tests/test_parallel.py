@@ -3,9 +3,15 @@ order-preserving chunk map with counter aggregation, and the library-wide
 determinism contract (byte-identical results for any worker count)."""
 
 import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core import DensityBiasedSampler, OnePassBiasedSampler
 from repro.density import KernelDensityEstimator
@@ -109,6 +115,14 @@ def _square(x):
     return x * x
 
 
+def _worker_pid(_item):
+    return os.getpid()
+
+
+def _kill_worker(_item):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _count_and_double(chunk):
     get_recorder().count("rows_seen", int(chunk.shape[0]))
     return chunk * 2.0
@@ -137,6 +151,45 @@ class TestParallelMapChunks:
         )
         np.testing.assert_array_equal(results[0], np.arange(4) * 2.0)
         np.testing.assert_array_equal(results[1], np.arange(4, 9) * 2.0)
+
+    def test_process_workers_outlive_a_map(self, clean_env):
+        def pids(func):
+            return set(
+                parallel_map_chunks(func, range(4), n_jobs=2, backend="process")
+            )
+
+        first, again = pids(_worker_pid), pids(_worker_pid)
+        assert os.getpid() not in first
+        assert len(first | again) <= 2  # one pool of two workers
+        # A dead worker breaks the pool; the next map starts a new one.
+        with pytest.raises(BrokenProcessPool):
+            pids(_kill_worker)
+        assert not pids(_worker_pid) & (first | again)
+
+    def test_pool_made_inside_a_worker_does_not_block_exit(self, clean_env):
+        # An explicit n_jobs inside a task starts a pool in the worker;
+        # that pool must be shut down before the worker joins its
+        # children at exit, or the whole program hangs on shutdown.
+        code = (
+            "from repro.parallel import parallel_map_chunks\n"
+            "def inner(x):\n"
+            "    return x + 1\n"
+            "def outer(x):\n"
+            "    return sum(parallel_map_chunks(\n"
+            "        inner, [x, x], n_jobs=2, backend='process'))\n"
+            "print(parallel_map_chunks(\n"
+            "    outer, [1, 2], n_jobs=2, backend='process'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[4, 6]"
 
 
 @pytest.fixture(scope="module")

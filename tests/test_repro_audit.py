@@ -1139,33 +1139,6 @@ class TestRA010:
         )
         assert "RA010" in codes(found)
 
-    def test_asymmetric_shard_branch_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            def fit(data, rng, n_shards):
-                if n_shards > 1:
-                    return rng.normal(size=3)
-                return rng.random(3)
-            """,
-            select=["RA010"],
-        )
-        assert "RA010" in codes(found)
-        assert any("branch" in f.message for f in found)
-
-    def test_symmetric_shard_branch_clean(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            def fit(data, rng, n_shards):
-                if n_shards > 1:
-                    return rng.random(3)
-                return rng.random(5)
-            """,
-            select=["RA010"],
-        )
-        assert found == []
-
     def test_coordinator_draw_over_ordered_iterable_clean(self, tmp_path):
         found = audit_snippet(
             tmp_path,

@@ -7,6 +7,7 @@ policy. DESIGN.md §13 explains why; these tests pin it.
 """
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -70,7 +71,40 @@ def _counters_sans_shard(recorder):
 class TestResolveShards:
     def test_default_is_unsharded(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        monkeypatch.delenv("REPRO_N_JOBS", raising=False)
         assert resolve_shards(None) == 1
+
+    def test_default_is_one_shard_per_worker(self, monkeypatch, array):
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        assert resolve_shards(None, n_jobs=3) == 3
+        with use_n_jobs(2):
+            assert resolve_shards(None) == 2
+            plan = ShardPlan.for_stream(DataStream(array, chunk_size=89))
+        assert plan.n_shards == 2
+        with use_shards(1):
+            assert resolve_shards(None, n_jobs=3) == 1
+            plan = ShardPlan.for_stream(DataStream(array), n_jobs=3)
+        assert plan.n_shards == 1
+
+    def test_derived_split_leaves_counters_alone(self, monkeypatch, array):
+        # The worker-count split is an execution detail: an unsharded
+        # run records the same counters, and no shard* ones, for any
+        # n_jobs.
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        make = SAMPLERS["density"]
+        runs = []
+        for n_jobs in (1, 2, 3):
+            with use_n_jobs(n_jobs):
+                runs.append(
+                    _run_sampler(
+                        make, lambda: DataStream(array, chunk_size=89), None
+                    )
+                )
+        (base, rec0), *others = runs
+        assert not any(name.startswith("shard") for name in rec0.counters)
+        for got, rec in others:
+            np.testing.assert_array_equal(base.points, got.points)
+            assert rec.counters == rec0.counters
 
     def test_explicit_wins(self):
         with use_shards(4):
@@ -260,6 +294,30 @@ class TestShardedEquivalence:
         np.testing.assert_array_equal(base.points, got.points)
         assert _counters_sans_shard(rec0) == _counters_sans_shard(rec1)
 
+    def test_sharding_composes_with_process_workers(self, array, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
+        make = SAMPLERS["density"]
+        base, rec0 = _run_sampler(
+            make, lambda: DataStream(array, chunk_size=89), 1
+        )
+        with use_n_jobs(2):
+            got, rec1 = _run_sampler(
+                make, lambda: DataStream(array, chunk_size=89), 3
+            )
+        np.testing.assert_array_equal(base.points, got.points)
+        np.testing.assert_array_equal(base.probabilities, got.probabilities)
+        assert _counters_sans_shard(rec0) == _counters_sans_shard(rec1)
+
+    def test_pickled_view_carries_only_its_rows(self, array):
+        view = ShardPlan(DataStream(array, chunk_size=89), 3).views()[1]
+        payload = pickle.dumps(view)
+        assert len(payload) < array.nbytes // 2
+        shipped = pickle.loads(payload)
+        for (o1, c1), (o2, c2) in zip(view.chunks(), shipped.chunks()):
+            assert o1 == o2
+            np.testing.assert_array_equal(c1, c2)
+        assert len(list(shipped.chunks())) == view.spec.n_chunks
+
     def test_shard_counters_record_the_fanout(self, array):
         _, recorder = _run_sampler(
             SAMPLERS["density"], lambda: DataStream(array, chunk_size=89), 3
@@ -269,6 +327,99 @@ class TestShardedEquivalence:
         assert counters["shard_merges"] > 0
         # Three sharded scans (fit, eval, gather) over 611 rows each.
         assert counters["shard_rows"] == 3 * len(array)
+
+
+# ---------------------------------------------------------------------------
+# Plain-numpy references: no stream, no ShardPlan
+# ---------------------------------------------------------------------------
+
+
+def _reference_kde_fit(array, chunk_size, n_kernels, seed):
+    """Centers and bandwidths of a KDE fit, straight from the array:
+    reservoir sampling chunk by chunk plus a chunked Welford fold."""
+    from repro.density.bandwidth import resolve_bandwidth
+    from repro.density.kernels import get_kernel
+    from repro.density.reservoir import ReservoirSampler
+
+    reservoir = ReservoirSampler(n_kernels, random_state=seed)
+    count, mean, m2 = 0, None, None
+    for start in range(0, array.shape[0], chunk_size):
+        chunk = array[start : start + chunk_size]
+        reservoir.extend(chunk)
+        count_b = chunk.shape[0]
+        mean_b = chunk.mean(axis=0)
+        m2_b = ((chunk - mean_b) ** 2).sum(axis=0)
+        if count == 0:
+            count, mean, m2 = count_b, mean_b, m2_b
+            continue
+        delta = mean_b - mean
+        total = count + count_b
+        mean = mean + delta * (count_b / total)
+        m2 = m2 + m2_b + delta**2 * (count * count_b / total)
+        count = total
+    bandwidths = resolve_bandwidth(
+        "scott",
+        np.sqrt(m2 / (count - 1)),
+        count,
+        array.shape[1],
+        get_kernel("epanechnikov"),
+        scale=float(np.abs(mean).max()),
+    )
+    return reservoir.sample, bandwidths
+
+
+class TestPlainNumpyReferences:
+    """Every pass checked against numpy over the materialised array,
+    so the one-shard run is checked too, not used as the baseline."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_kde_fit_matches_reference(self, array, shards, n_jobs):
+        centers, bandwidths = _reference_kde_fit(array, 89, 64, 3)
+        with use_n_jobs(n_jobs), use_shards(shards):
+            kde = KernelDensityEstimator(n_kernels=64, random_state=3).fit(
+                DataStream(array, chunk_size=89)
+            )
+        np.testing.assert_array_equal(kde.centers_, centers)
+        np.testing.assert_array_equal(kde.bandwidths_, bandwidths)
+        assert kde.n_points_ == len(array)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_density_pass_and_gather_match_reference(
+        self, array, shards, n_jobs
+    ):
+        estimator = KernelDensityEstimator(n_kernels=64, random_state=5).fit(
+            array
+        )
+        densities = estimator.evaluate(array)
+        sampler = DensityBiasedSampler(
+            sample_size=80, exponent=-0.5, estimator=estimator,
+            random_state=13,
+        )
+        with use_n_jobs(n_jobs), use_shards(shards):
+            result = sampler.sample(stream=DataStream(array, chunk_size=89))
+        expected = DensityBiasedSampler(
+            sample_size=80, exponent=-0.5, random_state=13
+        ).compute_probabilities(densities)
+        np.testing.assert_array_equal(sampler.probabilities_, expected)
+        np.testing.assert_array_equal(
+            result.densities, densities[result.indices]
+        )
+        np.testing.assert_array_equal(result.points, array[result.indices])
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("exact_size", [False, True])
+    def test_uniform_gather_matches_reference(
+        self, array, shards, exact_size
+    ):
+        with use_shards(shards):
+            result = UniformSampler(
+                sample_size=80, exact_size=exact_size, random_state=13
+            ).sample(stream=DataStream(array, chunk_size=89))
+        mask = np.zeros(len(array), dtype=bool)
+        mask[result.indices] = True
+        np.testing.assert_array_equal(result.points, array[mask])
 
 
 # ---------------------------------------------------------------------------

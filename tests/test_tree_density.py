@@ -141,6 +141,27 @@ class TestByteEquivalence:
         assert estimator.counts_.tobytes() == baseline.counts_.tobytes()
         assert values.tobytes() == densities.tobytes()
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_fit_matches_plain_numpy_reference(self, case, n_jobs, shards):
+        # Box and leaf counts straight from the array — no stream, no
+        # ShardPlan — so the one-shard fit is checked, not trusted.
+        points = case[0]
+        estimator, _ = _fit_eval(points, points[:1], n_jobs, shards)
+        np.testing.assert_array_equal(estimator.mins_, points.min(axis=0))
+        np.testing.assert_array_equal(estimator.maxs_, points.max(axis=0))
+        leaves = tree_leaf_indices(
+            points, estimator.features_, estimator.thresholds_
+        )
+        counts = np.stack(
+            [
+                np.bincount(row, minlength=estimator.n_leaves_)
+                for row in leaves
+            ]
+        )
+        np.testing.assert_array_equal(estimator.counts_, counts)
+        assert estimator.n_points_ == points.shape[0]
+
     def test_seed_determinism(self, case):
         points, queries, baseline, _ = case
         again = TreeDensityEstimator(random_state=0).fit(points)
