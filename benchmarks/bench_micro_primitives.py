@@ -30,6 +30,10 @@ N_SPEEDUP = 200_000
 #: ``N_SPEEDUP`` evaluation points.
 DENSITY_SPEEDUP_FLOOR = 5.0
 
+#: Largest allowed ratio of the tree backend's fit median to its
+#: evaluation median on the same ``N_SPEEDUP`` rows.
+TREE_FIT_EVAL_CEILING = 2.0
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -112,6 +116,36 @@ def test_tree_evaluate_200k(benchmark, speedup_case):
     benchmark.extra_info["kde_median_seconds"] = kde_median
     benchmark.extra_info["speedup_vs_kde"] = kde_median / tree_median
     assert kde_median / tree_median >= DENSITY_SPEEDUP_FLOOR
+
+
+def test_tree_fit_200k(benchmark, speedup_case):
+    """Tree-backend fit at n=200k: the gate entry that pins the fit
+    within ``TREE_FIT_EVAL_CEILING`` of one evaluation of the same rows.
+
+    The fit's count scan routes every row once, like an evaluation, so
+    a fit far slower than an evaluation means the count scan has left
+    the shared cell router. The evaluation is re-timed in the same
+    process, as in ``test_tree_evaluate_200k``.
+    """
+    data, _kde, tree = speedup_case
+    tree.evaluate(data)
+    eval_rounds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        tree.evaluate(data)
+        eval_rounds.append(time.perf_counter() - start)
+    eval_median = statistics.median(eval_rounds)
+    fitted = benchmark.pedantic(
+        lambda: TreeDensityEstimator(random_state=0).fit(data),
+        warmup_rounds=1,
+        rounds=5,
+        iterations=1,
+    )
+    assert fitted.counts_.tobytes() == tree.counts_.tobytes()
+    fit_median = benchmark.stats.stats.median
+    benchmark.extra_info["evaluate_median_seconds"] = eval_median
+    benchmark.extra_info["fit_over_evaluate"] = fit_median / eval_median
+    assert fit_median / eval_median <= TREE_FIT_EVAL_CEILING
 
 
 def test_biased_sampling_end_to_end(benchmark, dataset, fitted_kde):

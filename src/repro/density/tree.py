@@ -7,10 +7,11 @@ kernel sum for ``T`` random axis-aligned partition trees built over the
 data bounding box: each tree splits every box at a uniformly drawn
 fraction of a uniformly drawn attribute, down to a fixed depth, and the
 density at ``x`` is the average over trees of ``count(leaf(x)) /
-volume(leaf(x))``. A lookup costs ``T x depth`` comparisons — O(log n)
-instead of O(m·d) kernel products — and the estimate still integrates
-to ``n`` over the domain, which is the normalisation the paper's
-biased-sampling algebra needs (section 2.1).
+volume(leaf(x))``. Routing a row to its leaf costs ``T`` table gathers
+through a per-tree cell overlay (``T x depth`` comparisons on the
+descent fallback) instead of O(m·d) kernel products, and the estimate
+still integrates to ``n`` over the domain, which is the normalisation
+the paper's biased-sampling algebra needs (section 2.1).
 
 Tree *structure* is drawn once, on the coordinator, from the seeded
 generator; the counting scan is pure integer accumulation. Integer
@@ -33,10 +34,10 @@ from repro.utils.validation import check_random_state
 
 __all__ = ["TreeDensityEstimator", "tree_leaf_indices"]
 
-#: Query rows routed per evaluation block: keeps the (trees, rows)
-#: descent state and gather temporaries inside the cache while leaving
-#: the per-row results — each row's leaf path is independent —
-#: byte-identical for any blocking.
+#: Rows routed per block, when counting and when evaluating: keeps the
+#: (trees, rows) descent state and gather temporaries inside the cache
+#: while leaving the per-row results — each row's leaf path is
+#: independent — byte-identical for any blocking.
 _EVAL_BLOCK_ROWS = 8192
 
 #: Uniform quantization bins per dimension for the O(1) lookup tables
@@ -48,8 +49,8 @@ _EVAL_BINS = 4096
 
 #: Ceiling on overlay cells per tree (product over dimensions of
 #: thresholds + 1). Above it — high-dimensional forests where the
-#: per-dim threshold grid's cross product explodes — evaluation falls
-#: back to the level-by-level descent.
+#: per-dim threshold grid's cross product explodes — counting and
+#: evaluation fall back to the level-by-level descent.
 _EVAL_CELL_CAP = 1 << 17
 
 #: Split fractions are drawn from [_SPLIT_LO, 1 - _SPLIT_LO] of the
@@ -69,6 +70,9 @@ def tree_leaf_indices(
     vectorised level by level across all trees and rows at once; points
     outside the fitted box follow the comparisons to the nearest edge
     leaf, mirroring the grid estimator's clamp semantics.
+
+    This is the routing fallback above ``_EVAL_CELL_CAP`` and the
+    reference the overlay route is tested against.
     """
     n_internal = features.shape[1]
     depth = int(n_internal + 1).bit_length() - 1
@@ -84,15 +88,16 @@ def tree_leaf_indices(
 
 
 class TreeDensityEstimator(DensityEstimator):
-    """Forest of random axis-aligned partitions with O(depth) lookups.
+    """Forest of random axis-aligned partitions with O(1) leaf lookups.
 
     Dataset passes: 2 — one scan finds the bounding box, one counts
-    leaf occupancies (the box scan still runs when ``bounds`` is given;
-    see Notes for the single-pass escape hatch).
+    leaf occupancies (the box scan is skipped when ``bounds`` is given;
+    see Notes).
 
-    Memory: O(m) — the forest structure and its leaf-count table,
-    ``n_trees * 2^max_depth`` cells; chunks are routed and discarded as
-    the scan advances.
+    Memory: O(m) — the forest structure, its leaf-count table
+    (``n_trees * 2^max_depth`` cells) and the per-tree overlay tables
+    (at most ``_EVAL_CELL_CAP`` cells each); chunks are routed and
+    discarded as the scan advances.
 
     Parameters
     ----------
@@ -118,6 +123,14 @@ class TreeDensityEstimator(DensityEstimator):
     a single pass like the paper's kernel estimator. Both scans run as
     shard fan-outs whose partials merge exactly: elementwise min/max
     for the box, integer leaf-count addition for the occupancies.
+
+    Counting and evaluation share one router: the overlay tables are
+    built as soon as the trees are drawn, each tree's cell table maps a
+    cell to its leaf id, the count scan bincounts those leaf ids, and
+    the rate per cell is derived from the counts afterwards. Forests
+    whose per-tree cell grid exceeds ``_EVAL_CELL_CAP`` (high ``d``)
+    route through the level-by-level descent instead; both routes give
+    the same leaf for every row.
 
     Examples
     --------
@@ -160,7 +173,7 @@ class TreeDensityEstimator(DensityEstimator):
         self.n_points_: int | None = None
         self.n_dims_: int | None = None
         # Leaf bounding boxes, kept from the build for the lookup-table
-        # construction in _finalize; shape (n_trees, n_leaves, n_dims).
+        # construction; shape (n_trees, n_leaves, n_dims).
         self._leaf_lo: np.ndarray | None = None
         self._leaf_hi: np.ndarray | None = None
         # O(1)-lookup overlay tables (None when the cell cap is hit).
@@ -181,8 +194,9 @@ class TreeDensityEstimator(DensityEstimator):
         with elementwise min/max and the count partials with integer
         addition — both exactly associative, so the fit is
         byte-identical for any shard count (DESIGN.md §14). Tree
-        structure is drawn once, on the coordinator, between the two
-        scans.
+        structure and its overlay tables are built once, on the
+        coordinator, between the two scans; the count scan routes rows
+        through them.
         """
         source = self._as_stream(data, stream)
         plan = ShardPlan.for_stream(source)
@@ -196,7 +210,8 @@ class TreeDensityEstimator(DensityEstimator):
                 )
             mins, maxs = box.mins, box.maxs
         self._build_trees(mins, maxs)
-        state = tree_count_shards(plan, self.features_, self.thresholds_)
+        self._build_eval_tables()
+        state = tree_count_shards(plan, self._count_leaves)
         if state.seen == 0:
             raise ParameterError("cannot fit a density estimator on no data.")
         self._finalize(state.counts, state.seen)
@@ -271,15 +286,21 @@ class TreeDensityEstimator(DensityEstimator):
         ``rate_[t, leaf] = counts[t, leaf] / volume[t, leaf]`` makes one
         evaluation a gather plus a mean over trees; each tree's rates
         integrate to ``n`` over the box, so the average does too —
-        densities integrate to ``n``, the paper's normalisation.
+        densities integrate to ``n``, the paper's normalisation. The
+        overlay's per-cell rates are one gather of ``rate_`` through
+        each tree's cell→leaf table.
         """
         self.counts_ = np.asarray(counts, dtype=np.int64)
         self.n_points_ = int(n)
         self.rate_ = self.counts_ / self.leaf_volumes_
-        self._build_eval_tables()
+        if self._tables is not None:
+            self._tables["rates"] = [
+                self.rate_[t][leaves]
+                for t, leaves in enumerate(self._tables["leaves"])
+            ]
 
     def _build_eval_tables(self) -> None:
-        """Precompute the O(1)-lookup overlay for evaluation.
+        """Precompute the O(1)-lookup overlay for counting and evaluation.
 
         Each tree's leaves induce, per dimension, a sorted grid ``g`` of
         the thresholds splitting that dimension; the leaf of a query is
@@ -292,14 +313,15 @@ class TreeDensityEstimator(DensityEstimator):
           bin ``u``, ``+inf`` when empty) and ``amb[u]`` (bin holds two
           or more thresholds, resolved by exact binary search);
         * per tree, a dense cell table mapping the cross product of
-          per-dim cells straight to ``rate_`` — filled by slicing each
+          per-dim cells straight to a leaf id — filled by slicing each
           leaf's bounding box into the grid.
 
         Bin assignment is monotone in the coordinate, so ``base[u] +
         (cut[u] < x)`` equals ``#{g < x}`` exactly — the table route is
-        bit-identical to the descent. Trees whose cell cross product
-        exceeds ``_EVAL_CELL_CAP`` (high-dimensional forests) disable
-        the overlay and evaluation keeps the descent path.
+        bit-identical to the descent. Only the thresholds are needed,
+        so the tables exist before the count scan. Trees whose cell
+        cross product exceeds ``_EVAL_CELL_CAP`` (high-dimensional
+        forests) disable the overlay and routing keeps the descent.
         """
         self._tables = None
         n_dims = self.n_dims_
@@ -330,9 +352,9 @@ class TreeDensityEstimator(DensityEstimator):
                 cut[t, j, bins] = grid
                 amb[t, j] = counts >= 2
                 cut[t, j, amb[t, j]] = np.inf
-        cells = []
+        leaves = []
         for t in range(self.n_trees):
-            table = np.empty(shapes[t])
+            table = np.empty(shapes[t], dtype=np.int64)
             starts = [
                 np.searchsorted(
                     grids[t][j], self._leaf_lo[t][:, j], side="right"
@@ -351,8 +373,8 @@ class TreeDensityEstimator(DensityEstimator):
                     slice(starts[j][leaf], ends[j][leaf])
                     for j in range(n_dims)
                 )
-                table[window] = self.rate_[t, leaf]
-            cells.append(table.ravel())
+                table[window] = leaf
+            leaves.append(table.ravel())
         self._tables = {
             "scale": scale,
             "base": base,
@@ -361,7 +383,7 @@ class TreeDensityEstimator(DensityEstimator):
             "amb_any": amb.any(axis=2),
             "grids": grids,
             "shapes": shapes,
-            "cells": cells,
+            "leaves": leaves,
         }
 
     def _bin_of(
@@ -376,42 +398,27 @@ class TreeDensityEstimator(DensityEstimator):
         offsets = (values - self.mins_[dim]) * scale[dim]
         return np.clip(offsets, 0.0, _EVAL_BINS - 1.0).astype(np.int64)
 
-    # -- evaluation --------------------------------------------------------------
+    # -- routing ---------------------------------------------------------------
 
-    def _evaluate(self, points: np.ndarray) -> np.ndarray:
-        recorder = get_recorder()
-        rows = int(points.shape[0])
-        # One lookup = one query row routed through one tree.
-        recorder.count("tree_lookups", rows * self.n_trees)
-        out = np.empty(rows, dtype=np.float64)
-        tree_ids = np.arange(self.n_trees)[:, None]
-        with recorder.phase("tree_eval_block") as span:
-            span.set(rows=rows, trees=self.n_trees, depth=self.max_depth)
-            for begin in range(0, rows, _EVAL_BLOCK_ROWS):
-                block = points[begin : begin + _EVAL_BLOCK_ROWS]
-                if self._tables is not None:
-                    out[begin : begin + block.shape[0]] = (
-                        self._evaluate_cells(block)
-                    )
-                else:
-                    leaves = tree_leaf_indices(
-                        block, self.features_, self.thresholds_
-                    )
-                    out[begin : begin + block.shape[0]] = self.rate_[
-                        tree_ids, leaves
-                    ].mean(axis=0)
-        return out
+    def _route(self, block: np.ndarray):
+        """Yield ``(t, index)`` for each tree: where ``block``'s rows land.
 
-    def _evaluate_cells(self, block: np.ndarray) -> np.ndarray:
-        """One block through the overlay tables (see _build_eval_tables).
-
-        Per tree and dimension the cell index is one gather plus one
-        comparison; queries landing in a bin that holds several
-        thresholds — a handful per block — are re-resolved by exact
-        binary search over that tree's per-dim threshold grid, so the
-        routed leaf always matches the descent.
+        With the overlay, ``index`` is each row's cell in tree ``t``'s
+        cell tables (see _build_eval_tables): per dimension one gather
+        plus one comparison, with rows landing in a bin that holds
+        several thresholds — a handful per block — re-resolved by exact
+        binary search over that tree's per-dim threshold grid. Without
+        it, ``index`` is the leaf from the level-by-level descent. Both
+        name the same leaf for every row. The overlay reuses one index
+        buffer across trees, so a caller consumes ``index`` before
+        advancing.
         """
         tables = self._tables
+        if tables is None:
+            yield from enumerate(
+                tree_leaf_indices(block, self.features_, self.thresholds_)
+            )
+            return
         rows = block.shape[0]
         n_dims = self.n_dims_
         cols = [
@@ -422,12 +429,10 @@ class TreeDensityEstimator(DensityEstimator):
             self._bin_of(cols[j], j, tables["scale"])
             for j in range(n_dims)
         ]
-        acc = np.zeros(rows)
         idx = np.empty(rows, dtype=np.int64)
         part = np.empty(rows, dtype=np.int64)
         cutg = np.empty(rows, dtype=np.float64)
         right = np.empty(rows, dtype=bool)
-        gathered = np.empty(rows, dtype=np.float64)
         for t in range(self.n_trees):
             shape = tables["shapes"][t]
             for j in range(n_dims):
@@ -447,7 +452,54 @@ class TreeDensityEstimator(DensityEstimator):
                 if j:
                     idx *= shape[j]
                     idx += part
-            np.take(tables["cells"][t], idx, out=gathered)
+            yield t, idx
+
+    def _count_leaves(self, points: np.ndarray) -> np.ndarray:
+        """Leaf occupancy of ``points``, shape ``(n_trees, n_leaves)``.
+
+        The count scan's per-chunk kernel: rows are routed block by
+        block and each tree's leaf ids are tallied with one
+        ``bincount``. Integer counts, so any chunking or sharding of
+        the rows sums to the same table.
+        """
+        leaves_of = None if self._tables is None else self._tables["leaves"]
+        n_leaves = self.n_leaves_
+        counts = np.zeros((self.n_trees, n_leaves), dtype=np.int64)
+        for begin in range(0, points.shape[0], _EVAL_BLOCK_ROWS):
+            block = points[begin : begin + _EVAL_BLOCK_ROWS]
+            for t, index in self._route(block):
+                leaves = index if leaves_of is None else leaves_of[t][index]
+                counts[t] += np.bincount(leaves, minlength=n_leaves)
+        return counts
+
+    # -- evaluation --------------------------------------------------------------
+
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
+        recorder = get_recorder()
+        rows = int(points.shape[0])
+        # One lookup = one query row routed through one tree.
+        recorder.count("tree_lookups", rows * self.n_trees)
+        out = np.empty(rows, dtype=np.float64)
+        with recorder.phase("tree_eval_block") as span:
+            span.set(rows=rows, trees=self.n_trees, depth=self.max_depth)
+            for begin in range(0, rows, _EVAL_BLOCK_ROWS):
+                block = points[begin : begin + _EVAL_BLOCK_ROWS]
+                out[begin : begin + block.shape[0]] = (
+                    self._evaluate_cells(block)
+                )
+        return out
+
+    def _evaluate_cells(self, block: np.ndarray) -> np.ndarray:
+        """Mean over trees of each row's routed rate (see _route).
+
+        One gather per tree: from the overlay's per-cell rates, or from
+        ``rate_`` when the descent routes.
+        """
+        rates = self.rate_ if self._tables is None else self._tables["rates"]
+        acc = np.zeros(block.shape[0])
+        gathered = np.empty(block.shape[0], dtype=np.float64)
+        for t, index in self._route(block):
+            np.take(rates[t], index, out=gathered)
             acc += gathered
         acc /= self.n_trees
         return acc

@@ -182,16 +182,10 @@ class _BoundsTask:
 
 @dataclass(frozen=True)
 class _TreeCountTask:
-    """One shard of a tree leaf-counting scan.
-
-    Carries the coordinator-built forest structure (heap-order split
-    attributes and thresholds) so workers can route rows without any
-    generator state of their own.
-    """
+    """One shard of a tree leaf-counting scan."""
 
     view: ShardView
-    features: np.ndarray
-    thresholds: np.ndarray
+    count: object
 
 
 def _bounds_shard_worker(task: _BoundsTask) -> BoundsShard:
@@ -214,34 +208,22 @@ def bounds_shards(plan: ShardPlan, *, n_jobs=None) -> BoundsShard:
 
 def _tree_count_worker(task: _TreeCountTask) -> TreeCountShard:
     """Per-shard integer leaf-occupancy counts (exactly mergeable)."""
-    from repro.density.tree import tree_leaf_indices
-
-    n_trees = task.features.shape[0]
-    n_leaves = task.features.shape[1] + 1
-    offsets = (np.arange(n_trees) * n_leaves)[:, None]
     shard = TreeCountShard()
     for _offset, chunk in task.view.chunks():
-        leaves = tree_leaf_indices(chunk, task.features, task.thresholds)
-        flat = np.bincount(
-            (offsets + leaves).ravel(), minlength=n_trees * n_leaves
-        )
-        shard.add_counts(flat.reshape(n_trees, n_leaves), chunk.shape[0])
+        shard.add_counts(task.count(chunk), chunk.shape[0])
     return shard
 
 
-def tree_count_shards(
-    plan: ShardPlan, features, thresholds, *, n_jobs=None
-) -> TreeCountShard:
+def tree_count_shards(plan: ShardPlan, count, *, n_jobs=None) -> TreeCountShard:
     """Run one tree-counting scan over ``plan`` and fold the partials.
 
-    ``features`` / ``thresholds`` are the coordinator-built forest
-    (all randomness stayed there); each shard counts its own row range
-    and the integer tables fold exactly.
+    ``count`` maps a chunk to its ``(n_trees, n_leaves)`` integer leaf
+    occupancy (typically a bound estimator method routing through the
+    coordinator-built forest, so all randomness stayed there); each
+    shard counts its own row range and the integer tables fold
+    exactly.
     """
-    tasks = [
-        _TreeCountTask(view=view, features=features, thresholds=thresholds)
-        for view in plan.views()
-    ]
+    tasks = [_TreeCountTask(view=view, count=count) for view in plan.views()]
     if _counts_shards():
         get_recorder().count("shards_fitted", len(tasks))
     return _scan(

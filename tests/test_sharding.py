@@ -18,6 +18,7 @@ from repro.core.biased import DensityBiasedSampler
 from repro.core.onepass import OnePassBiasedSampler
 from repro.core.uniform import UniformSampler
 from repro.density.kde import KernelDensityEstimator
+from repro.density.tree import TreeDensityEstimator
 from repro.exceptions import ParameterError
 from repro.obs import Recorder, use_recorder
 from repro.parallel import use_n_jobs
@@ -307,6 +308,29 @@ class TestShardedEquivalence:
         np.testing.assert_array_equal(base.points, got.points)
         np.testing.assert_array_equal(base.probabilities, got.probabilities)
         assert _counters_sans_shard(rec0) == _counters_sans_shard(rec1)
+
+    @pytest.mark.parametrize("n_dims", [2, 3])
+    def test_tree_fit_composes_with_process_workers(
+        self, array, monkeypatch, n_dims
+    ):
+        # The count scan ships a bound estimator method to the workers;
+        # d=2 counts through the overlay, d=3 through the descent.
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
+        data = array[:, :n_dims]
+
+        def fit(n_shards):
+            with use_shards(n_shards):
+                return TreeDensityEstimator(random_state=3).fit(
+                    stream=DataStream(data, chunk_size=89)
+                )
+
+        base = fit(1)
+        with use_n_jobs(2):
+            got = fit(3)
+        assert (base._tables is None) == (n_dims == 3)
+        assert got.counts_.tobytes() == base.counts_.tobytes()
+        assert got.rate_.tobytes() == base.rate_.tobytes()
+        assert got.evaluate(data).tobytes() == base.evaluate(data).tobytes()
 
     def test_pickled_view_carries_only_its_rows(self, array):
         view = ShardPlan(DataStream(array, chunk_size=89), 3).views()[1]

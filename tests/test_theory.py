@@ -1,8 +1,13 @@
 """Tests for the sample-size theory (section 2 / Theorem 1)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import theory
 from repro.exceptions import ParameterError
 
@@ -102,3 +107,19 @@ class TestInclusionProbability:
     def test_extremes(self):
         assert theory.cluster_inclusion_probability(100, 1.0, 0.5) == 1.0
         assert theory.cluster_inclusion_probability(100, 0.0, 0.5) == 0.0
+
+
+def test_importing_repro_leaves_scipy_stats_unloaded():
+    # scipy.stats is the costliest import in the package; only
+    # cluster_inclusion_probability needs it, so it loads on first call.
+    code = "import sys, repro\nprint('scipy.stats' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

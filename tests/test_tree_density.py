@@ -26,7 +26,7 @@ from repro.exceptions import (
     NotFittedError,
     ParameterError,
 )
-from repro.obs import Recorder, use_recorder
+from repro.obs import Recorder, RunManifest, use_recorder
 from repro.parallel import use_n_jobs
 from repro.sharding import use_shards
 from repro.utils.streams import DataStream
@@ -111,29 +111,122 @@ class TestStatisticalOracle:
         )
 
 
-def _fit_eval(points, queries, n_jobs, shards):
+def _fit_eval(points, queries, n_jobs, shards, **params):
     with use_n_jobs(n_jobs), use_shards(shards):
-        estimator = TreeDensityEstimator(random_state=0)
+        estimator = TreeDensityEstimator(random_state=0, **params)
         estimator.fit(stream=DataStream(points, chunk_size=1024))
         return estimator, estimator.evaluate(queries)
+
+
+def _on_threshold_rows(rng, box, params):
+    """Rows on, just beside and between one forest's split thresholds.
+
+    With explicit bounds the forest depends only on the box and the
+    seed, so a probe fit yields the thresholds the real fit will use.
+    Midpoints of neighbouring thresholds land in bins that hold two or
+    more of them, where routing falls back to binary search.
+    """
+    probe = TreeDensityEstimator(random_state=0, **params).fit(
+        np.asarray(box)
+    )
+    rows = []
+    for t in range(0, probe.n_trees, 8):
+        for j in range(probe.n_dims_):
+            grid = np.unique(probe.thresholds_[t][probe.features_[t] == j])
+            values = np.concatenate(
+                [
+                    grid,
+                    np.nextafter(grid, -np.inf),
+                    np.nextafter(grid, np.inf),
+                    (grid[1:] + grid[:-1]) / 2.0,
+                ]
+            )
+            block = rng.uniform(box[0], box[1], size=(values.size, len(box[0])))
+            block[:, j] = values
+            rows.append(block)
+    return np.vstack(rows)
+
+
+#: Routing layouts of the byte-equivalence and reference tests.
+_LAYOUTS = ("normal_3d", "narrow_bounds", "on_thresholds")
+
+
+def _equivalence_case(layout):
+    """``(points, queries, params)`` for one routing layout.
+
+    * ``normal_3d``: the default fit at d=3, whose per-tree cell grid
+      is above ``_EVAL_CELL_CAP``, so counting and evaluation take the
+      descent fallback;
+    * ``narrow_bounds``: explicit bounds inside the data, so many rows
+      lie outside the box and are clamped to edge leaves;
+    * ``on_thresholds``: rows exactly on split thresholds and inside
+      bins holding two or more thresholds.
+    """
+    rng = np.random.default_rng(3)
+    if layout == "normal_3d":
+        return rng.normal(size=(8_000, 3)), rng.normal(size=(500, 3)), {}
+    if layout == "narrow_bounds":
+        params = {"bounds": ([-0.5, -1.0], [1.0, 0.5])}
+        return rng.normal(size=(8_000, 2)), rng.normal(size=(500, 2)), params
+    box = ([0.0, 0.0], [1.0, 1.0])
+    params = {"bounds": box, "max_depth": 9}
+    points = np.vstack(
+        [_on_threshold_rows(rng, box, params), rng.random((2_000, 2))]
+    )
+    return points, points[::7], params
+
+
+def _equivalence_params(n_jobs_values):
+    """``(layout, shards, n_jobs)`` cases; ``normal_3d`` takes bare
+    ``shards-n_jobs`` ids so its test ids stay stable."""
+    return [
+        pytest.param(
+            layout,
+            shards,
+            n_jobs,
+            id=(
+                f"{shards}-{n_jobs}"
+                if layout == "normal_3d"
+                else f"{layout}-{shards}-{n_jobs}"
+            ),
+        )
+        for layout in _LAYOUTS
+        for shards in (1, 3)
+        for n_jobs in n_jobs_values
+    ]
 
 
 class TestByteEquivalence:
     """Same bytes for every (n_jobs, shards) execution shape."""
 
     @pytest.fixture(scope="class")
-    def case(self):
-        rng = np.random.default_rng(3)
-        points = rng.normal(size=(8_000, 3))
-        queries = rng.normal(size=(500, 3))
-        baseline, densities = _fit_eval(points, queries, 1, 1)
+    def cases(self):
+        cases = {}
+        for layout in _LAYOUTS:
+            points, queries, params = _equivalence_case(layout)
+            baseline, densities = _fit_eval(points, queries, 1, 1, **params)
+            # Each layout exercises the route it is named for.
+            assert (baseline._tables is None) == (layout == "normal_3d")
+            if layout == "narrow_bounds":
+                lo, hi = params["bounds"]
+                assert ((points < lo) | (points > hi)).any(axis=1).mean() > 0.3
+            if layout == "on_thresholds":
+                assert baseline._tables["amb"].any()
+                assert np.isin(points, baseline.thresholds_).any()
+            cases[layout] = (points, queries, params, baseline, densities)
+        return cases
+
+    @pytest.fixture(scope="class")
+    def case(self, cases):
+        points, queries, _params, baseline, densities = cases["normal_3d"]
         return points, queries, baseline, densities
 
-    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_fit_and_eval_bytes(self, case, n_jobs, shards):
-        points, queries, baseline, densities = case
-        estimator, values = _fit_eval(points, queries, n_jobs, shards)
+    @pytest.mark.parametrize("layout, shards, n_jobs", _equivalence_params([1, 2, 4]))
+    def test_fit_and_eval_bytes(self, cases, layout, shards, n_jobs):
+        points, queries, params, baseline, densities = cases[layout]
+        estimator, values = _fit_eval(
+            points, queries, n_jobs, shards, **params
+        )
         assert (
             estimator.thresholds_.tobytes()
             == baseline.thresholds_.tobytes()
@@ -141,15 +234,18 @@ class TestByteEquivalence:
         assert estimator.counts_.tobytes() == baseline.counts_.tobytes()
         assert values.tobytes() == densities.tobytes()
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_fit_matches_plain_numpy_reference(self, case, n_jobs, shards):
+    @pytest.mark.parametrize("layout, shards, n_jobs", _equivalence_params([1, 2]))
+    def test_fit_matches_plain_numpy_reference(
+        self, cases, layout, shards, n_jobs
+    ):
         # Box and leaf counts straight from the array — no stream, no
-        # ShardPlan — so the one-shard fit is checked, not trusted.
-        points = case[0]
-        estimator, _ = _fit_eval(points, points[:1], n_jobs, shards)
-        np.testing.assert_array_equal(estimator.mins_, points.min(axis=0))
-        np.testing.assert_array_equal(estimator.maxs_, points.max(axis=0))
+        # ShardPlan, no overlay — so the fit's routing is checked
+        # against the descent, not trusted.
+        points, _queries, params, _baseline, _densities = cases[layout]
+        estimator, _ = _fit_eval(points, points[:1], n_jobs, shards, **params)
+        lo, hi = params.get("bounds", (points.min(axis=0), points.max(axis=0)))
+        np.testing.assert_array_equal(estimator.mins_, lo)
+        np.testing.assert_array_equal(estimator.maxs_, hi)
         leaves = tree_leaf_indices(
             points, estimator.features_, estimator.thresholds_
         )
@@ -296,3 +392,19 @@ class TestObservability:
         assert recorder.counters["tree_nodes_built"] == 8 * (2**4 - 1)
         assert recorder.counters["tree_lookups"] == 300 * 8
         assert recorder.counters["data_passes"] == 2
+
+    @pytest.mark.parametrize("n_dims", [2, 3])
+    def test_fit_records_no_tree_lookups(self, n_dims):
+        # tree_lookups is evaluation work: the fit's count scan routes
+        # every row through the same router (overlay at d=2, descent at
+        # d=3) without counting it there.
+        rng = np.random.default_rng(9)
+        recorder = Recorder()
+        with use_recorder(recorder), use_shards(3):
+            TreeDensityEstimator(random_state=0).fit(
+                rng.normal(size=(2_000, n_dims))
+            )
+        manifest = RunManifest.from_recorder(recorder, name="tree-fit")
+        assert "tree_lookups" not in manifest.counters
+        assert manifest.counters["tree_nodes_built"] == 64 * (2**8 - 1)
+        assert manifest.counters["data_passes"] == 2
