@@ -1,10 +1,13 @@
 """Tests for DB(p, k) outlier detection (exact and approximate)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.datasets import make_outlier_dataset
 from repro.exceptions import ParameterError
+from repro.obs import Recorder, use_recorder
 from repro.outliers import (
     ApproximateOutlierDetector,
     IndexedOutlierDetector,
@@ -12,6 +15,7 @@ from repro.outliers import (
     is_db_outlier_count,
 )
 from repro.outliers.base import resolve_p
+from repro.utils import NpyFileStream
 from repro.utils.streams import DataStream
 
 
@@ -22,6 +26,12 @@ def simple_case():
     blob = rng.normal(0.0, 0.05, size=(300, 2))
     outliers = np.array([[3.0, 3.0], [-3.0, 2.0]])
     return np.vstack([blob, outliers]), {300, 301}
+
+
+def _reference_counts(candidates, data, k):
+    """Brute-force verify counts from direct coordinate differences."""
+    within = ((candidates[:, None] - data[None]) ** 2).sum(-1) <= k * k
+    return within.sum(axis=1) - 1
 
 
 class TestDefinitions:
@@ -177,3 +187,135 @@ class TestApproximateDetector:
         for idx, count in zip(result.indices.tolist(),
                               result.neighbor_counts.tolist()):
             assert exact_counts[idx] == count
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("shift", [0.0, 2.0**20, 2.0**30, 2.0**40])
+    def test_translation_and_column_swap_invariant(self, shift, swap):
+        """Dyadic data moves exactly, so every count must stay put."""
+        rng = np.random.default_rng(0)
+        base = np.round(rng.random((400, 2)) * 64) / 64
+        moved = base + shift
+        if swap:
+            moved = moved[:, ::-1]
+
+        def detect(data):
+            return ApproximateOutlierDetector(
+                k=5 / 64, p=1, candidate_quantile=1.0, random_state=0
+            ).detect(data)
+
+        reference = detect(base)
+        assert len(reference) == 6
+        for other in (
+            detect(moved),
+            IndexedOutlierDetector(k=5 / 64, p=1).detect(moved),
+        ):
+            np.testing.assert_array_equal(other.indices, reference.indices)
+            np.testing.assert_array_equal(
+                other.neighbor_counts, reference.neighbor_counts
+            )
+
+
+class TestVerifyCounts:
+    """The verify pass against brute-force direct-difference counts."""
+
+    @staticmethod
+    def _verify(stream, candidates, k):
+        return ApproximateOutlierDetector(k=k, p=0)._verify(
+            stream, candidates
+        )
+
+    def test_radius_is_inclusive(self):
+        data = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -0.5], [0.6, 0.0]])
+        counts = self._verify(DataStream(data), data[:1], 0.5)
+        assert counts.tolist() == [2]
+        np.testing.assert_array_equal(
+            counts, _reference_counts(data[:1], data, 0.5)
+        )
+
+    def test_duplicated_candidate(self):
+        rng = np.random.default_rng(5)
+        data = rng.random((60, 2))
+        data = np.vstack([data, data[:3]])
+        candidates = data[[0, 1, 2, 10]]
+        np.testing.assert_array_equal(
+            self._verify(DataStream(data), candidates, 0.2),
+            _reference_counts(candidates, data, 0.2),
+        )
+
+    def test_chunking_with_one_row_tail(self):
+        rng = np.random.default_rng(6)
+        data = rng.random((71, 2))  # 10 chunks of 7 and a 1-row tail
+        candidates = data[::5]
+        chunked_rec, whole_rec = Recorder(), Recorder()
+        with use_recorder(chunked_rec):
+            chunked = self._verify(
+                DataStream(data, chunk_size=7), candidates, 0.15
+            )
+        with use_recorder(whole_rec):
+            whole = self._verify(
+                DataStream(data, chunk_size=71), candidates, 0.15
+            )
+        np.testing.assert_array_equal(chunked, whole)
+        # The work counter is the in-radius pairs, not chunk geometry.
+        assert (
+            chunked_rec.counters["neighbor_pairs"]
+            == whole_rec.counters["neighbor_pairs"]
+            == int((chunked + 1).sum())
+        )
+        assert "distance_evals" not in chunked_rec.counters
+        np.testing.assert_array_equal(
+            chunked, _reference_counts(candidates, data, 0.15)
+        )
+
+    def test_zero_candidates(self):
+        data = np.random.default_rng(7).random((30, 2))
+        counts = self._verify(DataStream(data), np.empty((0, 2)), 0.1)
+        assert counts.shape == (0,)
+
+    @pytest.mark.parametrize("n_dims", [1, 5])
+    def test_dimensions(self, n_dims):
+        rng = np.random.default_rng(n_dims)
+        data = rng.random((200, n_dims))
+        candidates = data[::7]
+        np.testing.assert_array_equal(
+            self._verify(DataStream(data, chunk_size=64), candidates, 0.3),
+            _reference_counts(candidates, data, 0.3),
+        )
+
+    def test_npy_file_stream(self, tmp_path):
+        data = np.random.default_rng(8).random((150, 3))
+        path = str(tmp_path / "data.npy")
+        np.save(path, data)
+        candidates = data[::9]
+        np.testing.assert_array_equal(
+            self._verify(NpyFileStream(path, chunk_size=40), candidates, 0.25),
+            _reference_counts(candidates, data, 0.25),
+        )
+
+    def test_quarantine_counts_survivors_only(self):
+        rng = np.random.default_rng(9)
+        data = rng.random((120, 2))
+        dirty = data.copy()
+        dirty[[3, 40, 41, 99]] = np.nan
+        survivors = dirty[np.isfinite(dirty).all(axis=1)]
+        stream = DataStream(dirty, chunk_size=32, fault_policy="quarantine")
+        candidates = survivors[::6]
+        np.testing.assert_array_equal(
+            self._verify(stream, candidates, 0.2),
+            _reference_counts(candidates, survivors, 0.2),
+        )
+
+    def test_memory_is_not_candidates_by_chunk(self):
+        """2,000 candidates over a 16,384-row chunk: a dense distance
+        matrix alone would be about 262 MB."""
+        rng = np.random.default_rng(10)
+        data = rng.random((16_384, 2))
+        candidates = rng.random((2_000, 2))
+        stream = DataStream(data, chunk_size=16_384)
+        tracemalloc.start()
+        try:
+            self._verify(stream, candidates, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
