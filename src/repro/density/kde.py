@@ -297,11 +297,12 @@ class KernelDensityEstimator(DensityEstimator):
                 stop = min(rows, start + tile)
                 r = stop - start
                 uu, pp, ww = u[:r], prof[:r], weights[:r]
-                ww.fill(1.0)
                 # Accumulate the product over dimensions one attribute
                 # at a time to avoid materialising a (rows, m, d)
                 # tensor; all three scratch buffers are reused across
-                # tiles, so the loop allocates nothing per tile.
+                # tiles, so the loop allocates nothing per tile. The
+                # first factor is written into ``ww`` directly: the
+                # product 1.0 * x it stands for equals x bit for bit.
                 for j in range(self.n_dims_):
                     h = self.bandwidths_[j]
                     np.subtract(
@@ -310,9 +311,11 @@ class KernelDensityEstimator(DensityEstimator):
                         out=uu,
                     )
                     uu /= h
-                    self.kernel.profile(uu, out=pp)
-                    pp /= h
-                    ww *= pp
+                    factor = ww if j == 0 else pp
+                    self.kernel.profile(uu, out=factor)
+                    factor /= h
+                    if j:
+                        ww *= pp
                 np.sum(ww, axis=1, out=densities[start:stop])
                 densities[start:stop] *= scale
         if recorder.enabled:

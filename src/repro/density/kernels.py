@@ -92,7 +92,12 @@ class EpanechnikovKernel(Kernel):
         out = np.multiply(u, u, out=out)
         np.subtract(1.0, out, out=out)
         out *= 0.75
-        np.copyto(out, 0.0, where=~(np.abs(u) <= 1.0))
+        # Outside the support the value is zeroed. Rounding is monotone
+        # and 1 * 1 == 1, so u * u <= 1 exactly when |u| <= 1: the
+        # value is negative exactly off the support (and NaN for NaN
+        # u), so one branch-free fmax against +0.0 zeroes the same
+        # entries as a |u| <= 1 mask, with the same bytes.
+        np.fmax(out, 0.0, out=out)
         return out
 
 
@@ -127,10 +132,11 @@ class UniformKernel(Kernel):
     def profile(
         self, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        if out is None:
-            out = np.empty_like(u, dtype=np.float64)
-        out.fill(0.5)
-        np.copyto(out, 0.0, where=~(np.abs(u) <= 1.0))
+        # The indicator |u| <= 1 (False for NaN) written as 1.0 / 0.0,
+        # then halved: 0.5 on the support, +0.0 off it.
+        out = np.absolute(u, out=out)
+        np.less_equal(out, 1.0, out=out)
+        out *= 0.5
         return out
 
 
@@ -146,7 +152,9 @@ class TriangularKernel(Kernel):
     ) -> np.ndarray:
         out = np.absolute(u, out=out)
         np.subtract(1.0, out, out=out)
-        np.copyto(out, 0.0, where=~(out > 0.0))
+        # fmax against +0.0 zeroes the non-positive and NaN values, as
+        # an ``out > 0`` mask would (1 - 1 is +0.0, never -0.0).
+        np.fmax(out, 0.0, out=out)
         return out
 
 
@@ -160,10 +168,13 @@ class BiweightKernel(Kernel):
     def profile(
         self, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        w = 1.0 - u * u
-        out = np.multiply((15.0 / 16.0) * w, w, out=out)
-        np.copyto(out, 0.0, where=~(np.abs(u) <= 1.0))
-        return out
+        # w = 1 - u * u is negative exactly off the support (as in the
+        # Epanechnikov profile) and NaN for NaN u; clamping w to +0.0
+        # first makes ((15/16) * w) * w the +0.0 a |u| <= 1 mask gives.
+        w = np.multiply(u, u, out=out)
+        np.subtract(1.0, w, out=w)
+        np.fmax(w, 0.0, out=w)
+        return np.multiply((15.0 / 16.0) * w, w, out=w)
 
 
 _KERNELS: dict[str, type[Kernel]] = {

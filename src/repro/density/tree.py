@@ -34,11 +34,17 @@ from repro.utils.validation import check_random_state
 
 __all__ = ["TreeDensityEstimator", "tree_leaf_indices"]
 
-#: Rows routed per block, when counting and when evaluating: keeps the
-#: (trees, rows) descent state and gather temporaries inside the cache
-#: while leaving the per-row results — each row's leaf path is
-#: independent — byte-identical for any blocking.
+#: Rows routed per block, when counting and when evaluating, by the
+#: descent: keeps its (trees, rows) state and gather temporaries small.
+#: Each row's leaf path is independent, so the per-row results are
+#: byte-identical for any blocking.
 _EVAL_BLOCK_ROWS = 8192
+
+#: Rows routed per block through the overlay. Its state is a handful
+#: of per-row buffers (about 2 MB at this size, inside a per-core L2),
+#: and a larger block spreads the per-call cost of the ``trees x dims``
+#: table gathers over more rows.
+_OVERLAY_BLOCK_ROWS = 32768
 
 #: Uniform quantization bins per dimension for the O(1) lookup tables
 #: built at fit time. Bin assignment is monotone in the coordinate, so
@@ -354,7 +360,6 @@ class TreeDensityEstimator(DensityEstimator):
                 cut[t, j, amb[t, j]] = np.inf
         leaves = []
         for t in range(self.n_trees):
-            table = np.empty(shapes[t], dtype=np.int64)
             starts = [
                 np.searchsorted(
                     grids[t][j], self._leaf_lo[t][:, j], side="right"
@@ -368,19 +373,28 @@ class TreeDensityEstimator(DensityEstimator):
                 + 1
                 for j in range(n_dims)
             ]
-            for leaf in range(self.n_leaves_):
-                window = tuple(
-                    slice(starts[j][leaf], ends[j][leaf])
-                    for j in range(n_dims)
-                )
-                table[window] = leaf
-            leaves.append(table.ravel())
+            # Paint every leaf's block of cells into the row-major
+            # table, one dimension at a time: each (leaf, partial cell)
+            # pair expands into one pair per cell of the leaf's range on
+            # the next dimension.
+            owner = np.arange(self.n_leaves_)
+            flat = np.zeros(self.n_leaves_, dtype=np.int64)
+            for j in range(n_dims):
+                width = (ends[j] - starts[j])[owner]
+                pair = np.repeat(np.arange(owner.size), width)
+                step = np.arange(pair.size) - (np.cumsum(width) - width)[pair]
+                owner = owner[pair]
+                flat = flat[pair] * shapes[t][j] + starts[j][owner] + step
+            table = np.empty(int(np.prod(shapes[t])), dtype=np.int64)
+            table[flat] = owner
+            leaves.append(table)
         self._tables = {
             "scale": scale,
             "base": base,
             "cut": cut,
             "amb": amb,
             "amb_any": amb.any(axis=2),
+            "amb_union": amb.any(axis=0),
             "grids": grids,
             "shapes": shapes,
             "leaves": leaves,
@@ -399,6 +413,11 @@ class TreeDensityEstimator(DensityEstimator):
         return np.clip(offsets, 0.0, _EVAL_BINS - 1.0).astype(np.int64)
 
     # -- routing ---------------------------------------------------------------
+
+    @property
+    def _block_rows(self) -> int:
+        """Rows per routed block: the overlay's, or the descent's."""
+        return _EVAL_BLOCK_ROWS if self._tables is None else _OVERLAY_BLOCK_ROWS
 
     def _route(self, block: np.ndarray):
         """Yield ``(t, index)`` for each tree: where ``block``'s rows land.
@@ -429,6 +448,15 @@ class TreeDensityEstimator(DensityEstimator):
             self._bin_of(cols[j], j, tables["scale"])
             for j in range(n_dims)
         ]
+        # Rows in a bin that is ambiguous in any tree, found once per
+        # block and dimension; each tree then re-resolves only those of
+        # them that its own ambiguous bins hold.
+        amb_rows = [
+            np.flatnonzero(tables["amb_union"][j][bins[j]])
+            for j in range(n_dims)
+        ]
+        amb_bins = [bins[j][amb_rows[j]] for j in range(n_dims)]
+        amb_cols = [cols[j][amb_rows[j]] for j in range(n_dims)]
         idx = np.empty(rows, dtype=np.int64)
         part = np.empty(rows, dtype=np.int64)
         cutg = np.empty(rows, dtype=np.float64)
@@ -437,16 +465,23 @@ class TreeDensityEstimator(DensityEstimator):
             shape = tables["shapes"][t]
             for j in range(n_dims):
                 target = part if j else idx
-                np.take(tables["base"][t, j], bins[j], out=target)
-                np.take(tables["cut"][t, j], bins[j], out=cutg)
+                # The bins are clamped into range, so "clip" never
+                # clips; unlike the default "raise" it writes straight
+                # into ``out`` without buffering.
+                np.take(
+                    tables["base"][t, j], bins[j], out=target, mode="clip"
+                )
+                np.take(
+                    tables["cut"][t, j], bins[j], out=cutg, mode="clip"
+                )
                 np.less(cutg, cols[j], out=right)
                 target += right
-                if tables["amb_any"][t, j]:
-                    pos = np.flatnonzero(tables["amb"][t, j][bins[j]])
-                    if pos.size:
-                        target[pos] = np.searchsorted(
+                if tables["amb_any"][t, j] and amb_rows[j].size:
+                    hit = np.flatnonzero(tables["amb"][t, j][amb_bins[j]])
+                    if hit.size:
+                        target[amb_rows[j][hit]] = np.searchsorted(
                             tables["grids"][t][j],
-                            cols[j][pos],
+                            amb_cols[j][hit],
                             side="left",
                         )
                 if j:
@@ -465,8 +500,9 @@ class TreeDensityEstimator(DensityEstimator):
         leaves_of = None if self._tables is None else self._tables["leaves"]
         n_leaves = self.n_leaves_
         counts = np.zeros((self.n_trees, n_leaves), dtype=np.int64)
-        for begin in range(0, points.shape[0], _EVAL_BLOCK_ROWS):
-            block = points[begin : begin + _EVAL_BLOCK_ROWS]
+        step = self._block_rows
+        for begin in range(0, points.shape[0], step):
+            block = points[begin : begin + step]
             for t, index in self._route(block):
                 leaves = index if leaves_of is None else leaves_of[t][index]
                 counts[t] += np.bincount(leaves, minlength=n_leaves)
@@ -482,8 +518,9 @@ class TreeDensityEstimator(DensityEstimator):
         out = np.empty(rows, dtype=np.float64)
         with recorder.phase("tree_eval_block") as span:
             span.set(rows=rows, trees=self.n_trees, depth=self.max_depth)
-            for begin in range(0, rows, _EVAL_BLOCK_ROWS):
-                block = points[begin : begin + _EVAL_BLOCK_ROWS]
+            step = self._block_rows
+            for begin in range(0, rows, step):
+                block = points[begin : begin + step]
                 out[begin : begin + block.shape[0]] = (
                     self._evaluate_cells(block)
                 )
@@ -499,7 +536,9 @@ class TreeDensityEstimator(DensityEstimator):
         acc = np.zeros(block.shape[0])
         gathered = np.empty(block.shape[0], dtype=np.float64)
         for t, index in self._route(block):
-            np.take(rates[t], index, out=gathered)
+            # Cell and leaf ids are in range by construction (see
+            # _route on "clip").
+            np.take(rates[t], index, out=gathered, mode="clip")
             acc += gathered
         acc /= self.n_trees
         return acc

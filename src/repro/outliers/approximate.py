@@ -37,6 +37,11 @@ from repro.utils.validation import check_positive
 
 __all__ = ["ApproximateOutlierDetector"]
 
+#: Rows per stretch of the screen's quantile-heap update. Each stretch
+#: re-reads the full heap's max as its skip threshold, which falls
+#: toward the candidate quantile as the scan advances.
+_HEAP_BLOCK_ROWS = 1024
+
 
 class ApproximateOutlierDetector(OutlierDetector):
     """Density screening + exact verification for DB(p, k) outliers.
@@ -219,8 +224,20 @@ class ApproximateOutlierDetector(OutlierDetector):
             expected = self._expected_neighbors(chunk, estimator)
             for keep_local in np.nonzero(expected <= threshold)[0]:
                 below[start + int(keep_local)] = chunk[keep_local]
-            if quota:
-                for local, value in enumerate(expected):
+            if not quota:
+                continue
+            for begin in range(0, expected.shape[0], _HEAP_BLOCK_ROWS):
+                values = expected[begin : begin + _HEAP_BLOCK_ROWS]
+                visit = range(values.shape[0])
+                if len(sparsest) == quota:
+                    # A full heap's max never rises, so a row at or
+                    # above its max now can never enter: visit only
+                    # the rows below it (NaN rows included), in order,
+                    # with the unchanged test.
+                    visit = np.flatnonzero(~(values >= -sparsest[0][0]))
+                for offset in visit:
+                    local = begin + int(offset)
+                    value = expected[local]
                     entry = (-float(value), start + local, chunk[local])
                     if len(sparsest) < quota:
                         heapq.heappush(sparsest, entry)

@@ -27,7 +27,7 @@ import numpy as np
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
 from repro.outliers.base import OutlierDetector, OutlierResult, resolve_p
-from repro.utils.geometry import sq_distances_to
+from repro.utils.geometry import sq_distances_direct
 from repro.utils.streams import DataStream, as_stream
 from repro.utils.validation import check_positive
 
@@ -161,7 +161,8 @@ class CellBasedOutlierDetector(OutlierDetector):
         if not candidate_rows:
             return 0
         get_recorder().count("distance_evals", len(candidate_rows))
-        d = sq_distances_to(pts[row][None, :], pts[candidate_rows])
+        # Direct differences: exact on data far from the origin.
+        d = sq_distances_direct(pts[row][None, :], pts[candidate_rows])
         return int((d <= k_sq).sum())
 
 

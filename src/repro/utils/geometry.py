@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "ball_volume",
     "pairwise_sq_distances",
+    "sq_distances_direct",
     "sq_distances_to",
 ]
 
@@ -56,4 +57,22 @@ def sq_distances_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     t_norms = np.einsum("ij,ij->i", targets, targets)
     dists = p_norms[:, None] + t_norms[None, :] - 2.0 * (points @ targets.T)
     np.maximum(dists, 0.0, out=dists)
+    return dists
+
+
+def sq_distances_direct(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Squared distances from direct coordinate differences.
+
+    Same shape as :func:`sq_distances_to`, ``(len(points),
+    len(targets))``, summing ``(x_j - y_j)^2`` one attribute at a time.
+    Slower than the expansion, but a large common offset in the data
+    costs it no precision, so radius tests stay exact on data far from
+    the origin.
+    """
+    dists = np.zeros((points.shape[0], targets.shape[0]))
+    diff = np.empty_like(dists)
+    for j in range(points.shape[1]):
+        np.subtract(points[:, j, None], targets[None, :, j], out=diff)
+        diff *= diff
+        dists += diff
     return dists

@@ -1,15 +1,18 @@
 """Tests for DB(p, k) outlier detection (exact and approximate)."""
 
+import heapq
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.datasets import make_outlier_dataset
+from repro.density import KernelDensityEstimator
 from repro.exceptions import ParameterError
 from repro.obs import Recorder, use_recorder
 from repro.outliers import (
     ApproximateOutlierDetector,
+    CellBasedOutlierDetector,
     IndexedOutlierDetector,
     NestedLoopOutlierDetector,
     is_db_outlier_count,
@@ -191,7 +194,8 @@ class TestApproximateDetector:
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("shift", [0.0, 2.0**20, 2.0**30, 2.0**40])
     def test_translation_and_column_swap_invariant(self, shift, swap):
-        """Dyadic data moves exactly, so every count must stay put."""
+        """Dyadic data moves exactly, so every count must stay put,
+        for the screened detector and for every exact one."""
         rng = np.random.default_rng(0)
         base = np.round(rng.random((400, 2)) * 64) / 64
         moved = base + shift
@@ -208,6 +212,8 @@ class TestApproximateDetector:
         for other in (
             detect(moved),
             IndexedOutlierDetector(k=5 / 64, p=1).detect(moved),
+            NestedLoopOutlierDetector(k=5 / 64, p=1).detect(moved),
+            CellBasedOutlierDetector(k=5 / 64, p=1).detect(moved),
         ):
             np.testing.assert_array_equal(other.indices, reference.indices)
             np.testing.assert_array_equal(
@@ -319,3 +325,73 @@ class TestVerifyCounts:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _reference_screen(detector, source, estimator, p):
+    """The screen's row-by-row quantile-heap loop, visiting every row."""
+    threshold = detector.slack * (p + 1)
+    quota = int(np.ceil(detector.candidate_quantile * len(source)))
+    below, sparsest, pushes = {}, [], 0
+    for start, chunk in source.iter_with_offsets():
+        expected = detector._expected_neighbors(chunk, estimator)
+        for keep_local in np.nonzero(expected <= threshold)[0]:
+            below[start + int(keep_local)] = chunk[keep_local]
+        if quota:
+            for local, value in enumerate(expected):
+                entry = (-float(value), start + local, chunk[local])
+                if len(sparsest) < quota:
+                    heapq.heappush(sparsest, entry)
+                    pushes += 1
+                elif value < -sparsest[0][0]:
+                    heapq.heapreplace(sparsest, entry)
+                    pushes += 1
+    for _, idx, point in sparsest:
+        below.setdefault(idx, point)
+    indices = np.array(sorted(below), dtype=np.int64)
+    return indices, np.vstack([below[int(i)] for i in indices]), pushes
+
+
+class TestScreenHeap:
+    """The screen's skip of rows that cannot enter the quantile heap
+    leaves its candidates and its ``heap_pushes`` count unchanged."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(11)
+        blob = rng.normal(0.0, 0.3, size=(1_500, 2))
+        # Far rows get an exact-zero KDE density (no center within the
+        # support); repeated rows tie at one nonzero density.
+        far = rng.uniform(20.0, 40.0, size=(300, 2))
+        ties = np.repeat(blob[:4] * 3.0, 60, axis=0)
+        data = np.vstack([blob, far, ties])
+        rng.shuffle(data)
+        estimator = KernelDensityEstimator()
+        estimator.fit_from_centers(blob[::3], len(data), bandwidths=0.4)
+        return data, estimator
+
+    @pytest.mark.parametrize("chunk_size", [97, 1_000, 4_096])
+    @pytest.mark.parametrize("quota", [1, 150, 299, 300, 301, 420, 2_000])
+    def test_matches_row_by_row_loop(self, case, chunk_size, quota):
+        data, estimator = case
+        detector = ApproximateOutlierDetector(
+            k=0.05,
+            p=0,
+            estimator=estimator,
+            slack=1e-3,
+            candidate_quantile=quota / len(data),
+        )
+        assert int(np.ceil(detector.candidate_quantile * len(data))) == quota
+        expected = detector._expected_neighbors(data, estimator)
+        # The quota boundary falls inside the zero or the nonzero ties.
+        assert (expected == 0.0).sum() == 300
+        recorder = Recorder()
+        with use_recorder(recorder):
+            indices, points = detector._screen(
+                DataStream(data, chunk_size=chunk_size), estimator, 0
+            )
+        ref_indices, ref_points, pushes = _reference_screen(
+            detector, DataStream(data, chunk_size=chunk_size), estimator, 0
+        )
+        np.testing.assert_array_equal(indices, ref_indices)
+        assert points.tobytes() == ref_points.tobytes()
+        assert recorder.counters["heap_pushes"] == pushes
